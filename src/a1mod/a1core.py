@@ -9,21 +9,27 @@ integer degree, with degree +1 and +2 operators satisfying
 
 Words are written with the rightmost factor acting first, so ``Sq1Sq2``
 applied to v is Sq1(Sq2(v)).
+
+Every presentation built here (free modules, seagulls, the polynomial
+family, ``.mod`` files) is a list of labelled basis cells plus Sq1 and Sq2
+edges between them, and goes through ``module_from_edges``;
+``free_module_on`` gives the free module on any list of generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import NotBoundedBelow, RelationViolation, ShapeMismatch
+from .errors import RelationViolation, ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, solve
 
 __all__ = [
-    "WORDS", "WORD_DEGREE", "LMUL", "A1Basis",
-    "GradedSpace", "GradedMap", "A1Module", "DualModule",
-    "module", "validate", "f2", "free_module", "zero_module",
-    "direct_sum", "suspend", "truncate", "tensor", "dualize", "act_right",
+    "WORDS", "WORD_DEGREE", "LMUL",
+    "GradedSpace", "GradedMap", "A1Module",
+    "module", "module_from_edges", "validate", "f2", "free_module",
+    "free_module_on", "zero_module",
+    "direct_sum", "suspend", "truncate", "tensor", "dualize",
     "apply_word", "linear_map_from_generators", "submodule_closure",
 ]
 
@@ -52,17 +58,6 @@ LMUL: Dict[str, Dict[str, Optional[str]]] = {
         "Sq1Sq2Sq1": "Sq2Sq1Sq2Sq1", "Sq2Sq1Sq2": None, "Sq2Sq1Sq2Sq1": None,
     },
 }
-
-
-@dataclass(frozen=True)
-class A1Basis:
-    """Bundled additive-basis data, mostly a convenience for callers."""
-
-    words: Tuple[str, ...] = WORDS
-    degrees: Tuple[int, ...] = tuple(WORD_DEGREE[w] for w in WORDS)
-
-    def degree(self, word: str) -> int:
-        return WORD_DEGREE[word]
 
 
 class GradedSpace:
@@ -156,7 +151,8 @@ class A1Module:
 
     ``truncated_above`` records that degrees above the cutoff were discarded;
     action values landing there are simply absent, and consumers must respect
-    the reduced reliable range.
+    the reduced reliable range.  ``truncated_below`` is the same bound from
+    below (the dual of a module truncated above has one).
     """
 
     space: GradedSpace
@@ -185,37 +181,64 @@ class A1Module:
             return False
         return True
 
-    def dims(self) -> Dict[int, int]:
-        return self.space.dims()
-
-
-class DualModule(A1Module):
-    """The degreewise dual, graded so that degree k is the dual of source
-    degree -k, with the transposed (right) action."""
+    def act(self, sq: str, k: int, v: int) -> int:
+        """``Sq1`` or ``Sq2`` applied to v in degree k."""
+        return (self.sq1 if sq == "Sq1" else self.sq2).apply(k, v)
 
 
 def module(labels: Dict[int, List[str]],
            sq1: Dict[int, BitMatrix],
            sq2: Dict[int, BitMatrix],
            truncated_above: Optional[int] = None,
-           name: str = "",
-           check: bool = True) -> A1Module:
+           truncated_below: Optional[int] = None,
+           name: str = "") -> A1Module:
     space = GradedSpace(labels)
     m = A1Module(space,
                  GradedMap(space, space, 1, {k: v for k, v in sq1.items()
                                              if space.dim(k) and space.dim(k + 1)}),
                  GradedMap(space, space, 2, {k: v for k, v in sq2.items()
                                              if space.dim(k) and space.dim(k + 2)}),
-                 truncated_above=truncated_above, name=name)
-    if check:
-        validate(m)
+                 truncated_above=truncated_above,
+                 truncated_below=truncated_below, name=name)
+    validate(m)
     return m
+
+
+def module_from_edges(cells: Iterable[Tuple[str, int]],
+                      sq1_edges: Iterable[Tuple[str, str]],
+                      sq2_edges: Iterable[Tuple[str, str]],
+                      **module_kwargs) -> A1Module:
+    """The module on labelled basis cells with the action given by edges.
+
+    ``cells`` lists (label, degree) pairs; within a degree the basis follows
+    their order.  An edge (source, target) adds the target cell to the image
+    of the source cell, so a repeated edge cancels.  Keyword arguments go to
+    ``module``.
+    """
+    labels: Dict[int, List[str]] = {}
+    pos: Dict[str, Tuple[int, int]] = {}
+    for label, deg in cells:
+        row = labels.setdefault(deg, [])
+        pos[label] = (deg, len(row))
+        row.append(label)
+
+    def mats(edges: Iterable[Tuple[str, str]], step: int) -> Dict[int, BitMatrix]:
+        cols = {d: [0] * len(row) for d, row in labels.items()}
+        for src, tgt in edges:
+            sd, si = pos[src]
+            td, ti = pos[tgt]
+            if td != sd + step:
+                raise ShapeMismatch(f"edge {src} -> {tgt} must raise the degree "
+                                    f"by {step}")
+            cols[sd][si] ^= 1 << ti
+        return {d: BitMatrix.from_columns(len(labels[d + step]), c)
+                for d, c in cols.items() if d + step in labels}
+
+    return module(labels, mats(sq1_edges, 1), mats(sq2_edges, 2), **module_kwargs)
 
 
 def validate(m: A1Module) -> None:
     """Check shapes and the two defining relations on every checkable degree."""
-    if m.space.degrees and m.space.lo is None:
-        raise NotBoundedBelow("module has no bottom degree")
     for k in m.space.degrees:
         if m.truncated_above is None or k + 2 <= m.truncated_above:
             if not m.sq1.compose(m.sq1).mat(k).is_zero():
@@ -230,23 +253,15 @@ def validate(m: A1Module) -> None:
 def apply_word(m: A1Module, word: str, k: int, v: int) -> Tuple[int, int]:
     """Apply a composite word (rightmost factor first) to v in degree k.
 
-    Returns (degree, vector).  Factors falling above a truncation cutoff
-    yield the zero vector in the nominal degree.
+    Works on anything with an ``act(sq, k, v)`` method.  Returns (degree,
+    vector).  Factors falling above a truncation cutoff yield the zero vector
+    in the nominal degree.
     """
-    if word == "1":
-        return k, v
-    ops = []
-    i = 0
-    while i < len(word):
-        ops.append(word[i:i + 3])
-        i += 3
-    deg, vec = k, v
-    for op in reversed(ops):  # rightmost acts first
-        step = 1 if op == "Sq1" else 2
-        gmap = m.sq1 if op == "Sq1" else m.sq2
-        vec = gmap.apply(deg, vec)
-        deg += step
-    return deg, vec
+    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
+        op = word[i:i + 3]
+        v = m.act(op, k, v)
+        k += 1 if op == "Sq1" else 2
+    return k, v
 
 
 def f2(degree: int = 0) -> A1Module:
@@ -258,82 +273,51 @@ def zero_module() -> A1Module:
     return module({}, {}, {}, name="0")
 
 
+def free_module_on(gens: Sequence[Tuple[str, int]], name: str = "") -> A1Module:
+    """The free module on generators given as (label, degree) pairs.
+
+    Cells are labelled ``<word>*<label>``, the generator itself ``<label>``;
+    within a degree they follow the generators, then ``WORDS``, in order.
+    """
+    def cell(w: str, label: str) -> str:
+        return label if w == "1" else f"{w}*{label}"
+
+    cells = [(cell(w, label), deg + WORD_DEGREE[w])
+             for label, deg in gens for w in WORDS]
+    edges = {sq: [(cell(w, label), cell(LMUL[sq][w], label))
+                  for label, _ in gens for w in WORDS if LMUL[sq][w]]
+             for sq in LMUL}
+    return module_from_edges(cells, edges["Sq1"], edges["Sq2"], name=name)
+
+
 def free_module(degree: int = 0, label: str = "g") -> A1Module:
     """The free module on one generator in the given degree."""
-    labels: Dict[int, List[str]] = {}
-    index: Dict[str, Tuple[int, int]] = {}
-    for w in WORDS:
-        d = degree + WORD_DEGREE[w]
-        labels.setdefault(d, [])
-        index[w] = (d, len(labels[d]))
-        labels[d].append(f"{w}*{label}" if w != "1" else label)
-    space = GradedSpace(labels)
-    mats1: Dict[int, BitMatrix] = {}
-    mats2: Dict[int, BitMatrix] = {}
-    for sq, shift, mats in (("Sq1", 1, mats1), ("Sq2", 2, mats2)):
-        for k in space.degrees:
-            if space.dim(k + shift) == 0:
-                continue
-            cols = []
-            for w in WORDS:
-                if index[w][0] != k:
-                    continue
-                tgt = LMUL[sq][w]
-                if tgt is None:
-                    cols.append((index[w][1], 0))
-                else:
-                    td, ti = index[tgt]
-                    cols.append((index[w][1], 1 << ti))
-            mat_cols = [0] * space.dim(k)
-            for ci, vec in cols:
-                mat_cols[ci] = vec
-            data = []
-            for i in range(space.dim(k + shift)):
-                r = 0
-                for j in range(space.dim(k)):
-                    r |= ((mat_cols[j] >> i) & 1) << j
-                data.append(r)
-            mats[k] = BitMatrix(space.dim(k + shift), space.dim(k), tuple(data))
-    return module(labels, mats1, mats2, name=f"A(1){{{label}}}")
+    return free_module_on([(label, degree)], name=f"A(1){{{label}}}")
+
+
+def _bound(a: Optional[int], b: Optional[int], pick) -> Optional[int]:
+    """The tighter of two truncation bounds, None meaning no bound."""
+    if a is None or b is None:
+        return b if a is None else a
+    return pick(a, b)
 
 
 def direct_sum(a: A1Module, b: A1Module) -> A1Module:
-    cut = None
-    for t in (a.truncated_above, b.truncated_above):
-        if t is not None:
-            cut = t if cut is None else min(cut, t)
-    labels: Dict[int, List[str]] = {}
-    offs_a: Dict[int, int] = {}
-    offs_b: Dict[int, int] = {}
-    for k in sorted(set(a.space.degrees) | set(b.space.degrees)):
-        if cut is not None and k > cut:
-            continue
-        labels[k] = []
-        offs_a[k] = 0
-        for s in a.space.labels.get(k, ()):
-            labels[k].append(f"L.{s}")
-        offs_b[k] = len(labels[k])
-        for s in b.space.labels.get(k, ()):
-            labels[k].append(f"R.{s}")
+    cut = _bound(a.truncated_above, b.truncated_above, min)
+    labels = {k: [f"L.{s}" for s in a.space.labels.get(k, ())] +
+              [f"R.{s}" for s in b.space.labels.get(k, ())]
+              for k in sorted(set(a.space.degrees) | set(b.space.degrees))
+              if cut is None or k <= cut}
     space = GradedSpace(labels)
 
     def block(shift, ga, gb):
-        mats = {}
-        for k in space.degrees:
-            if space.dim(k + shift) == 0:
-                continue
-            rows = [0] * space.dim(k + shift)
-            am = ga.mat(k)
-            for i in range(am.rows):
-                rows[offs_a.get(k + shift, 0) + i] |= am.data[i] << offs_a.get(k, 0)
-            bm = gb.mat(k)
-            for i in range(bm.rows):
-                rows[offs_b.get(k + shift, 0) + i] |= bm.data[i] << offs_b.get(k, 0)
-            mats[k] = BitMatrix(space.dim(k + shift), space.dim(k), tuple(rows))
-        return mats
+        # the cells of a come first in every degree
+        return {k: BitMatrix.block_diag([ga.mat(k), gb.mat(k)])
+                for k in space.degrees if space.dim(k + shift)}
 
     return module(labels, block(1, a.sq1, b.sq1), block(2, a.sq2, b.sq2),
                   truncated_above=cut,
+                  truncated_below=_bound(a.truncated_below, b.truncated_below, max),
                   name=f"{a.name}+{b.name}" if a.name and b.name else "")
 
 
@@ -341,8 +325,12 @@ def suspend(m: A1Module, t: int) -> A1Module:
     labels = {k + t: list(v) for k, v in m.space.labels.items()}
     sq1 = {k + t: mat for k, mat in m.sq1.mats.items()}
     sq2 = {k + t: mat for k, mat in m.sq2.mats.items()}
-    cut = None if m.truncated_above is None else m.truncated_above + t
-    return module(labels, sq1, sq2, truncated_above=cut,
+
+    def moved(bound: Optional[int]) -> Optional[int]:
+        return None if bound is None else bound + t
+
+    return module(labels, sq1, sq2, truncated_above=moved(m.truncated_above),
+                  truncated_below=moved(m.truncated_below),
                   name=f"S^{t}{m.name}" if m.name else "")
 
 
@@ -350,10 +338,9 @@ def truncate(m: A1Module, cutoff: int) -> A1Module:
     labels = {k: list(v) for k, v in m.space.labels.items() if k <= cutoff}
     sq1 = {k: mat for k, mat in m.sq1.mats.items() if k + 1 <= cutoff}
     sq2 = {k: mat for k, mat in m.sq2.mats.items() if k + 2 <= cutoff}
-    cut = cutoff
-    if m.truncated_above is not None:
-        cut = min(cut, m.truncated_above)
-    return module(labels, sq1, sq2, truncated_above=cut, name=m.name)
+    return module(labels, sq1, sq2,
+                  truncated_above=_bound(cutoff, m.truncated_above, min),
+                  truncated_below=m.truncated_below, name=m.name)
 
 
 def tensor(a: A1Module, b: A1Module) -> A1Module:
@@ -425,20 +412,14 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
                                     if (vb >> jj) & 1:
                                         out ^= 1 << index[(pp, ii, qq, jj)]
                         cols.append(out)
-            data = []
-            for r in range(space.dim(kt)):
-                row = 0
-                for c, v in enumerate(cols):
-                    row |= ((v >> r) & 1) << c
-                data.append(row)
-            mats[k] = BitMatrix(space.dim(kt), space.dim(k), tuple(data))
+            mats[k] = BitMatrix.from_columns(space.dim(kt), cols)
         return mats
 
     name = f"{a.name}(x){b.name}" if a.name and b.name else ""
     return module(labels, build(1), build(2), truncated_above=cut, name=name)
 
 
-def dualize(m: A1Module) -> DualModule:
+def dualize(m: A1Module) -> A1Module:
     """Degreewise dual: degree k of the dual is the dual of degree -k.
 
     The right action by precomposition transposes the structure matrices,
@@ -446,30 +427,20 @@ def dualize(m: A1Module) -> DualModule:
     module presentation.
     """
     labels = {-k: [f"{s}*" for s in v] for k, v in m.space.labels.items()}
-    space = GradedSpace(labels)
     sq1 = {}
     sq2 = {}
-    for k in space.degrees:
-        src = -k
-        if space.dim(k + 1):
-            sq1[k] = m.sq1.mat(src - 1).transpose()
-        if space.dim(k + 2):
-            sq2[k] = m.sq2.mat(src - 2).transpose()
-    d = DualModule(space,
-                   GradedMap(space, space, 1, sq1),
-                   GradedMap(space, space, 2, sq2),
-                   name=f"({m.name})*" if m.name else "")
-    if m.truncated_above is not None:
-        d.truncated_below = -m.truncated_above
-    if m.truncated_below is not None:
-        d.truncated_above = -m.truncated_below
-    validate(d)
-    return d
+    for k in sorted(labels):
+        if -k - 1 in m.space.labels:
+            sq1[k] = m.sq1.mat(-k - 1).transpose()
+        if -k - 2 in m.space.labels:
+            sq2[k] = m.sq2.mat(-k - 2).transpose()
 
+    def negated(bound: Optional[int]) -> Optional[int]:
+        return None if bound is None else -bound
 
-def act_right(dual: A1Module, word: str, k: int, v: int) -> Tuple[int, int]:
-    """Right action of a word on a functional, via the transposed matrices."""
-    return apply_word(dual, word, k, v)
+    return module(labels, sq1, sq2, truncated_above=negated(m.truncated_below),
+                  truncated_below=negated(m.truncated_above),
+                  name=f"({m.name})*" if m.name else "")
 
 
 def linear_map_from_generators(source: A1Module, target: A1Module,
@@ -553,15 +524,10 @@ def linear_map_from_generators(source: A1Module, target: A1Module,
     if x is None:
         raise ShapeMismatch("no action-preserving map with the given values")
 
-    mats = {}
-    for k in degs:
-        rows = []
-        for r in range(target.dim(k + shift)):
-            row = 0
-            for c in range(source.dim(k)):
-                row |= ((x >> entry(k, r, c)) & 1) << c
-            rows.append(row)
-        mats[k] = BitMatrix(target.dim(k + shift), source.dim(k), tuple(rows))
+    # row r of the matrix at degree k is a run of dim(k) bits of x
+    mats = {k: BitMatrix(target.dim(k + shift), source.dim(k), tuple(
+        (x >> entry(k, r, 0)) & ((1 << source.dim(k)) - 1)
+        for r in range(target.dim(k + shift)))) for k in degs}
     return GradedMap(source.space, target.space, shift, mats)
 
 

@@ -6,16 +6,16 @@ is the localization of an honest bounded-below module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (LMUL, WORD_DEGREE, WORDS, A1Module, GradedMap, apply_word,
-                     dualize, f2, linear_map_from_generators, module,
-                     submodule_closure, tensor)
-from .errors import ShapeMismatch, TruncationTooTight
+from .a1core import (A1Module, GradedMap, apply_word, dualize, f2,
+                     free_module_on, linear_map_from_generators,
+                     module_from_edges, tensor)
+from .errors import ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
-from .structure import DecompositionReport, default_cutoff, localize_q0, seagull
+from .structure import _wing_composite, default_cutoff, localize_q0, seagull
 
 __all__ = [
     "NSigma", "DMComplexStage", "InjectiveStage",
@@ -59,40 +59,13 @@ def build_N(sigma: int) -> NSigma:
     if sigma < 0:
         raise ValueError("negative polynomial degree")
     monomials = [(sigma - j, j) for j in range(sigma + 1)]
-    labels: Dict[int, List[str]] = {}
-    pos: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for (i, j) in monomials:
-        d = 2 * i + 3 * j
-        labels.setdefault(d, [])
-        pos[(i, j)] = (d, len(labels[d]))
-        labels[d].append(_mono_label(i, j))
-    dims = {d: len(v) for d, v in labels.items()}
-
-    def build(step: int, rule) -> Dict[int, BitMatrix]:
-        cols: Dict[int, List[int]] = {d: [0] * dims[d] for d in dims}
-        for (i, j) in monomials:
-            tgt = rule(i, j)
-            if tgt is None:
-                continue
-            sd, si = pos[(i, j)]
-            td, ti = pos[tgt]
-            cols[sd][si] |= 1 << ti
-        mats = {}
-        for d, cv in cols.items():
-            if dims.get(d + step, 0) == 0:
-                continue
-            data = []
-            for r in range(dims[d + step]):
-                row = 0
-                for c, v in enumerate(cv):
-                    row |= ((v >> r) & 1) << c
-                data.append(row)
-            mats[d] = BitMatrix(dims[d + step], dims[d], tuple(data))
-        return mats
-
-    sq1 = build(1, lambda i, j: (i - 1, j + 1) if i > 0 and j % 2 == 0 else None)
-    sq2 = build(2, lambda i, j: (i - 2, j + 2) if i > 1 and j % 4 in (0, 1) else None)
-    return NSigma(sigma, module(labels, sq1, sq2, name=f"N({sigma})"), monomials)
+    cells = [(_mono_label(i, j), 2 * i + 3 * j) for i, j in monomials]
+    sq1 = [(_mono_label(i, j), _mono_label(i - 1, j + 1))
+           for i, j in monomials if i > 0 and j % 2 == 0]
+    sq2 = [(_mono_label(i, j), _mono_label(i - 2, j + 2))
+           for i, j in monomials if i > 1 and j % 4 in (0, 1)]
+    return NSigma(sigma, module_from_edges(cells, sq1, sq2, name=f"N({sigma})"),
+                  monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -241,42 +214,6 @@ class InjectiveStage:
     t: Tuple[int, int]                   # t_s = Sq1 r_s
 
 
-def _free_on(gen_degrees: List[int]) -> Tuple[A1Module, Dict[int, Tuple[int, int]]]:
-    """Free module on one generator per listed degree (degrees distinct)."""
-    labels: Dict[int, List[str]] = {}
-    index: Dict[Tuple[int, str], Tuple[int, int]] = {}
-    for gd in gen_degrees:
-        for w in WORDS:
-            d = gd + WORD_DEGREE[w]
-            labels.setdefault(d, [])
-            index[(gd, w)] = (d, len(labels[d]))
-            labels[d].append(f"{w}*e[{gd}]" if w != "1" else f"e[{gd}]")
-    dims = {d: len(v) for d, v in labels.items()}
-
-    def build(sq: str, step: int) -> Dict[int, BitMatrix]:
-        mats = {}
-        for d in dims:
-            if dims.get(d + step, 0) == 0:
-                continue
-            rows = [0] * dims[d + step]
-            for gd in gen_degrees:
-                for w in WORDS:
-                    if index.get((gd, w), (None,))[0] != d:
-                        continue
-                    tgt = LMUL[sq][w]
-                    if tgt is None:
-                        continue
-                    si = index[(gd, w)][1]
-                    ti = index[(gd, tgt)][1]
-                    rows[ti] |= 1 << si
-            mats[d] = BitMatrix(dims[d + step], dims[d], tuple(rows))
-        return mats
-
-    m = module(labels, build("Sq1", 1), build("Sq2", 2))
-    gens = {gd: (gd, 1 << index[(gd, "1")][1]) for gd in gen_degrees}
-    return m, gens
-
-
 def _injective_gen_degrees(s: int) -> List[int]:
     r = s % 4
     if r == 0:
@@ -306,7 +243,9 @@ def build_injective(max_s: int) -> List[InjectiveStage]:
     prev: Optional[InjectiveStage] = None
     for s in range(max_s + 1):
         degs = _injective_gen_degrees(s)
-        mod, gens = _free_on(degs)
+        mod = free_module_on([(f"e[{gd}]", gd) for gd in degs])
+        gens = {gd: (gd, 1 << mod.space.labels[gd].index(f"e[{gd}]"))
+                for gd in degs}
         r_vec = apply_word(mod, "Sq2Sq1Sq2", *gens[-s - 6])
         t_vec = apply_word(mod, "Sq1", *r_vec)
         fmap = None
@@ -436,12 +375,8 @@ def d2(m: A1Module) -> D2Data:
         cols_out = [0] * len(src_reps)
         if rows:
             im = image(dual.sq1.mat(tgt_delta - 1))
-            basis_cols = list(tgt_reps) + list(im.basis)
-            amb = dual.dim(tgt_delta)
-            mat = BitMatrix(amb, len(basis_cols),
-                            tuple(sum(((v >> r) & 1) << c
-                                      for c, v in enumerate(basis_cols))
-                                  for r in range(amb)))
+            mat = BitMatrix.from_columns(dual.dim(tgt_delta),
+                                         list(tgt_reps) + list(im.basis))
             for ci, rep in enumerate(src_reps):
                 _, img = apply_word(dual, "Sq2Sq1Sq2", delta, rep)
                 if img == 0:
@@ -450,13 +385,11 @@ def d2(m: A1Module) -> D2Data:
                 if x is None:
                     raise ShapeMismatch("differential image is not a cycle")
                 cols_out[ci] = x & ((1 << rows) - 1)
-        data = [0] * rows
         for c, v in enumerate(cols_out):
             for r in range(rows):
                 if (v >> r) & 1:
-                    data[r] |= 1 << c
                     pairs.append((label_at[delta][c], label_at[tgt_delta][r]))
-        mats[delta] = BitMatrix(rows, len(src_reps), tuple(data))
+        mats[delta] = BitMatrix.from_columns(rows, cols_out)
     return D2Data(classes, mats, sorted(set(pairs)))
 
 
@@ -579,8 +512,7 @@ def sq4_solver(m: A1Module) -> Sq4Result:
     def entry(k: int, r: int, c: int) -> int:
         return offsets[k] + r * m.dim(k) + c
 
-    wing = {k: (m.sq2.mat(k + 3).mul(m.sq1.mat(k + 2)).mul(m.sq2.mat(k)))
-            for k in degs}
+    wing = {k: _wing_composite(m, k) for k in degs}
     rows: List[int] = []
     rhs_bits: List[int] = []
     for k in degs:
@@ -610,13 +542,8 @@ def sq4_solver(m: A1Module) -> Sq4Result:
     x = solve(a, b)
     if x is None:
         return Sq4Result(False, None)
-    mats: Dict[int, BitMatrix] = {}
-    for k, off in offsets.items():
-        data = []
-        for r in range(m.dim(k + 4)):
-            row = 0
-            for c in range(m.dim(k)):
-                row |= ((x >> entry(k, r, c)) & 1) << c
-            data.append(row)
-        mats[k] = BitMatrix(m.dim(k + 4), m.dim(k), tuple(data))
+    # row r of the matrix at degree k is a run of dim(k) bits of x
+    mats = {k: BitMatrix(m.dim(k + 4), m.dim(k), tuple(
+        (x >> entry(k, r, 0)) & ((1 << m.dim(k)) - 1) for r in range(m.dim(k + 4))))
+        for k in offsets}
     return Sq4Result(True, mats)

@@ -27,10 +27,6 @@ class NotQ0Local(A1ModError):
                          + (f": {detail}" if detail else ""))
 
 
-class NotBoundedBelow(A1ModError):
-    """Input module has no bottom degree."""
-
-
 class NotStabilized(A1ModError):
     """Tower counting saw dimensions that never settled in the window."""
 

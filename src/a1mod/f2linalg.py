@@ -8,13 +8,13 @@ there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
 
 __all__ = [
     "BitMatrix", "Subspace",
-    "popcount", "dot", "vec_to_list", "list_to_vec",
+    "popcount", "dot",
     "rref", "rank", "solve", "kernel", "image", "preimage",
     "intersect", "complement",
 ]
@@ -27,18 +27,6 @@ def popcount(x: int) -> int:
 def dot(u: int, v: int) -> int:
     """Standard bilinear pairing on F_2^n."""
     return popcount(u & v) & 1
-
-
-def vec_to_list(v: int, n: int) -> List[int]:
-    return [(v >> i) & 1 for i in range(n)]
-
-
-def list_to_vec(bits: Iterable[int]) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << i
-    return v
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,22 @@ class BitMatrix:
     def from_rows(rows: List[List[int]], cols: Optional[int] = None) -> "BitMatrix":
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return BitMatrix(len(rows), cols, tuple(list_to_vec(r) for r in rows))
+        return BitMatrix(len(rows), cols,
+                         tuple(sum((b & 1) << j for j, b in enumerate(r))
+                               for r in rows))
+
+    @staticmethod
+    def from_columns(rows: int, columns: Sequence[int]) -> "BitMatrix":
+        """The matrix with ``rows`` rows whose column j is ``columns[j]``."""
+        data = [0] * rows
+        for j, c in enumerate(columns):
+            if c >> rows:
+                raise ShapeMismatch(f"column {j} has bits beyond row {rows}")
+            while c:
+                low = c & -c
+                data[low.bit_length() - 1] |= 1 << j
+                c ^= low
+        return BitMatrix(rows, len(columns), tuple(data))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "BitMatrix":
@@ -73,9 +76,6 @@ class BitMatrix:
 
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
-
-    def row(self, i: int) -> int:
-        return self.data[i]
 
     def column(self, j: int) -> int:
         v = 0
@@ -114,8 +114,7 @@ class BitMatrix:
                          tuple(a ^ b for a, b in zip(self.data, other.data)))
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows,
-                         tuple(self.column(j) for j in range(self.cols)))
+        return BitMatrix.from_columns(self.cols, self.data)
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:

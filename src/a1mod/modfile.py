@@ -5,8 +5,13 @@
     sq1 <label> = 0 | <label> (+ <label>)*
     sq2 <label> = 0 | <label> (+ <label>)*
     truncated_above <degree>
+    truncated_below <degree>
 
 '#' starts a comment; blank lines are ignored; undeclared actions are zero.
+A repeated target in one sum cancels.  ``truncated_above`` and
+``truncated_below`` mark degrees beyond which the presentation is incomplete
+(a dual of a truncated module has a lower bound), which narrows the reliable
+windows of everything computed from it.
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import A1Module, module
+from .a1core import A1Module, module_from_edges
 from .errors import ParseError, RelationViolation
-from .f2linalg import BitMatrix
 
 __all__ = ["ModuleFile", "parse", "to_module", "parse_module", "serialize"]
 
@@ -28,6 +32,7 @@ class ModuleFile:
     sq1: Dict[str, List[str]] = field(default_factory=dict)
     sq2: Dict[str, List[str]] = field(default_factory=dict)
     truncated_above: Optional[int] = None
+    truncated_below: Optional[int] = None
     action_lines: Dict[str, int] = field(default_factory=dict)  # source label -> line
 
 
@@ -87,11 +92,11 @@ def parse(text: str) -> ModuleFile:
                     targets.append(t)
             table[lhs] = targets
             mf.action_lines[key] = line_no
-        elif kw == "truncated_above":
+        elif kw in ("truncated_above", "truncated_below"):
             if len(parts) != 2:
-                raise ParseError(line_no, "expected: truncated_above <degree>")
+                raise ParseError(line_no, f"expected: {kw} <degree>")
             try:
-                mf.truncated_above = int(parts[1])
+                setattr(mf, kw, int(parts[1]))
             except ValueError:
                 raise ParseError(line_no, f"bad degree {parts[1]!r}")
         else:
@@ -102,40 +107,18 @@ def parse(text: str) -> ModuleFile:
 
 
 def to_module(mf: ModuleFile) -> A1Module:
-    labels: Dict[int, List[str]] = {}
-    pos: Dict[str, Tuple[int, int]] = {}
-    for label, deg in mf.gens:
-        labels.setdefault(deg, [])
-        pos[label] = (deg, len(labels[deg]))
-        labels[deg].append(label)
-    dims = {d: len(v) for d, v in labels.items()}
-
-    def build(table: Dict[str, List[str]], step: int) -> Dict[int, BitMatrix]:
-        cols: Dict[int, List[int]] = {d: [0] * n for d, n in dims.items()}
-        for src, targets in table.items():
-            sd, si = pos[src]
-            for t in targets:
-                _, ti = pos[t]
-                cols[sd][si] ^= 1 << ti
-        mats = {}
-        for d, cv in cols.items():
-            if dims.get(d + step, 0) == 0:
-                continue
-            data = []
-            for r in range(dims[d + step]):
-                row = 0
-                for c, v in enumerate(cv):
-                    row |= ((v >> r) & 1) << c
-                data.append(row)
-            mats[d] = BitMatrix(dims[d + step], dims[d], tuple(data))
-        return mats
+    def edges(table: Dict[str, List[str]]) -> List[Tuple[str, str]]:
+        return [(src, t) for src, targets in table.items() for t in targets]
 
     try:
-        return module(labels, build(mf.sq1, 1), build(mf.sq2, 2),
-                      truncated_above=mf.truncated_above, name=mf.name)
+        return module_from_edges(mf.gens, edges(mf.sq1), edges(mf.sq2),
+                                 truncated_above=mf.truncated_above,
+                                 truncated_below=mf.truncated_below,
+                                 name=mf.name)
     except RelationViolation as e:
+        degree = dict(mf.gens)
         lines = sorted(ln for key, ln in mf.action_lines.items()
-                       if pos[key.split(":", 1)[1]][0] in
+                       if degree[key.split(":", 1)[1]] in
                        range(e.degree, e.degree + 5))
         raise ParseError(lines[0] if lines else 1,
                          f"{e} (from the action declarations on lines {lines})")
@@ -180,6 +163,7 @@ def serialize(m: A1Module, name: Optional[str] = None) -> str:
                            if mat.get(r, c)]
                 if targets:
                     lines.append(f"{kw} {labels[k][c]} = {' + '.join(targets)}")
-    if m.truncated_above is not None:
-        lines.append(f"truncated_above {m.truncated_above}")
+    for kw in ("truncated_above", "truncated_below"):
+        if getattr(m, kw) is not None:
+            lines.append(f"{kw} {getattr(m, kw)}")
     return "\n".join(lines) + "\n"

@@ -6,11 +6,11 @@ along fixed stems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .a1core import LMUL, WORD_DEGREE, WORDS, A1Module
+from .a1core import LMUL, WORD_DEGREE, WORDS, A1Module, apply_word
 from .errors import NotStabilized, TruncationTooTight
-from .f2linalg import BitMatrix, Subspace, complement, image, kernel
+from .f2linalg import BitMatrix, Subspace, complement, kernel
 
 __all__ = [
     "ResolutionStage", "ExtChart",
@@ -29,7 +29,10 @@ _ALGEBRAS = {
 @dataclass
 class _FreeModule:
     """A free module on homogeneous generators, with an explicit monomial
-    basis (generator index, word) per degree."""
+    basis (generator index, word) per degree, cut off above ``max_t``.
+
+    Unlike ``a1core.free_module_on`` it is neither validated nor built in
+    degrees the resolution never reads, which keeps each stage cheap."""
 
     words: Tuple[str, ...]
     lmul: Dict[str, Dict[str, Optional[str]]]
@@ -69,38 +72,6 @@ class _FreeModule:
                 out ^= 1 << pos[1]
         return out
 
-    def act_word(self, word: str, k: int, v: int) -> Tuple[int, int]:
-        if word == "1":
-            return k, v
-        ops = [word[i:i + 3] for i in range(0, len(word), 3)]
-        deg, vec = k, v
-        for op in reversed(ops):
-            vec = self.act(op, deg, vec)
-            deg += 1 if op == "Sq1" else 2
-        return deg, vec
-
-
-class _Target:
-    """Uniform view of 'module we are resolving': either an A1Module or a
-    free module from the previous stage."""
-
-    def __init__(self, m=None, free=None, algebra_words=None):
-        self.m = m
-        self.free = free
-        self.words = algebra_words
-
-    def dim(self, k: int) -> int:
-        return self.m.dim(k) if self.m is not None else self.free.dim(k)
-
-    def degrees(self) -> List[int]:
-        return self.m.space.degrees if self.m is not None else self.free.degrees()
-
-    def act(self, sq: str, k: int, v: int) -> int:
-        if self.m is not None:
-            gmap = self.m.sq1 if sq == "Sq1" else self.m.sq2
-            return gmap.apply(k, v)
-        return self.free.act(sq, k, v)
-
 
 @dataclass
 class ResolutionStage:
@@ -110,12 +81,6 @@ class ResolutionStage:
     # differential: value of each generator in the previous stage (or the
     # module itself at s = 0), as (degree, vector)
     d_values: List[Tuple[int, int]]
-
-    def gen_counts(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for g in self.gens:
-            out[g] = out.get(g, 0) + 1
-        return out
 
 
 @dataclass
@@ -130,26 +95,13 @@ class ExtChart:
         return self.dims.get((s, t), 0)
 
 
-def _differential_matrix(free: _FreeModule, target: _Target,
+def _differential_matrix(free: _FreeModule,
+                         target: Union[A1Module, _FreeModule],
                          d_values: List[Tuple[int, int]], k: int) -> BitMatrix:
     """Matrix of the stage differential in degree k: F_k -> target_k."""
-    rows = target.dim(k)
-    cols = free.dim(k)
-    data = [0] * rows
-    for c, (gi, w) in enumerate(free.basis.get(k, ())):
-        gd, gv = d_values[gi]
-        deg = gd
-        vec = gv
-        if w != "1":
-            ops = [w[i:i + 3] for i in range(0, len(w), 3)]
-            for op in reversed(ops):
-                vec = target.act(op, deg, vec)
-                deg += 1 if op == "Sq1" else 2
-        # deg == k by construction
-        for r in range(rows):
-            if (vec >> r) & 1:
-                data[r] |= 1 << c
-    return BitMatrix(rows, cols, tuple(data))
+    return BitMatrix.from_columns(
+        target.dim(k), [apply_word(target, w, *d_values[gi])[1]
+                        for gi, w in free.basis.get(k, ())])
 
 
 def minimal_resolution(m: A1Module, algebra: str = "a1",
@@ -165,7 +117,7 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
     words, lmul = _ALGEBRAS[algebra]
 
     stages: List[ResolutionStage] = []
-    target = _Target(m=m)
+    target: Union[A1Module, _FreeModule] = m
     # current kernel (for s = 0: the whole module), degreewise; everything in
     # degrees <= max_t is determined by degrees <= max_t, so cap there.
     current: Dict[int, Subspace] = {k: Subspace.full(m.dim(k))
@@ -206,7 +158,7 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
         for k in free.degrees():
             mat = _differential_matrix(free, target, d_values, k)
             nxt[k] = kernel(mat)
-        target = _Target(free=free)
+        target = free
         current = nxt
     return stages
 
@@ -225,15 +177,17 @@ def ext_dims(m: A1Module, algebra: str = "a1",
 
 def h0_tower_counts(m: A1Module, max_stem: int, window: int = 4,
                     algebra: str = "a1") -> Dict[int, int]:
-    """Number of infinite multiplication-by-h0 towers in each stem up to
-    ``max_stem``, read off where the chart dimensions stabilize in s."""
-    offset = 8  # towers are isolated this far above the stem line
-    max_s = max_stem + offset + window - 1
+    """Number of infinite multiplication-by-h0 towers in each stem from
+    min(bottom degree, 0) up to ``max_stem``, read off where the chart
+    dimensions stabilize in s."""
+    base = min(m.lo, 0) if m.lo is not None else 0
+    offset = 8  # towers are isolated this far above the line s = stem - base
+    max_s = max_stem - base + offset + window - 1
     max_t = max_s + max_stem
     chart = ext_dims(m, algebra, max_s, max_t)
     out: Dict[int, int] = {}
-    for stem in range(max_stem + 1):
-        s0 = stem + offset
+    for stem in range(base, max_stem + 1):
+        s0 = stem - base + offset
         vals = [chart.dim(s, s + stem) for s in range(s0, s0 + window)]
         if len(set(vals)) != 1:
             raise NotStabilized(stem, vals)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .a1core import (A1Module, direct_sum, free_module, linear_map_from_generators,
-                     module, submodule_closure, suspend, tensor, truncate,
-                     zero_module)
-from .errors import NotQ0Local, ShapeMismatch, TruncationTooTight
-from .f2linalg import BitMatrix, Subspace, complement, image, kernel, solve
+                     module, module_from_edges, submodule_closure, tensor,
+                     truncate, zero_module)
+from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
+from .f2linalg import BitMatrix, Subspace, complement, kernel, solve
 from .margolis import is_q0_local
 
 __all__ = [
@@ -76,7 +76,20 @@ def seagull(n: int, shift: int = 0) -> A1Module:
     degrees 4j, 4j+2, 4j+3, 4j+5 for j = 0..n-1."""
     if n < 1:
         raise ValueError("seagull length must be positive")
-    return _seagull_raw(n, shift, cutoff=None)
+    cells: List[Tuple[str, int]] = []
+    sq1: List[Tuple[str, str]] = []
+    sq2: List[Tuple[str, str]] = []
+    for j in range(n):
+        base = shift + 4 * j
+        g, s2, s12, s212 = (f"{tag}{base}" for tag in
+                            ("g", "Sq2g", "Sq1Sq2g", "Sq2Sq1Sq2g"))
+        cells += [(g, base), (s2, base + 2), (s12, base + 3), (s212, base + 5)]
+        sq1.append((s2, s12))
+        sq2 += [(g, s2), (s12, s212)]
+        if j > 0:
+            sq1.append((g, f"Sq2Sq1Sq2g{base - 4}"))
+    return module_from_edges(cells, sq1, sq2, name=f"seagull({n})+{shift}"
+                             if shift else f"seagull({n})")
 
 
 def seagull_inf(cutoff: int, shift: int = 0) -> A1Module:
@@ -84,48 +97,7 @@ def seagull_inf(cutoff: int, shift: int = 0) -> A1Module:
     if cutoff < shift + 5:
         raise TruncationTooTight("infinite seagull needs at least one full wing")
     wings = (cutoff - shift) // 4 + 1
-    return truncate(_seagull_raw(wings, shift, cutoff=None), cutoff)
-
-
-def _seagull_raw(n: int, shift: int, cutoff: Optional[int]) -> A1Module:
-    # classes per wing j: g (4j), Sq2 g (4j+2), Sq1Sq2 g (4j+3), Sq2Sq1Sq2 g (4j+5)
-    labels: Dict[int, List[str]] = {}
-    pos: Dict[Tuple[int, str], Tuple[int, int]] = {}
-    for j in range(n):
-        base = shift + 4 * j
-        for off, tag in ((0, "g"), (2, "Sq2g"), (3, "Sq1Sq2g"), (5, "Sq2Sq1Sq2g")):
-            d = base + off
-            labels.setdefault(d, [])
-            pos[(j, tag)] = (d, len(labels[d]))
-            labels[d].append(f"{tag}{base}")
-    dims = {d: len(v) for d, v in labels.items()}
-
-    def mats(pairs: List[Tuple[Tuple[int, str], Tuple[int, str]]], step: int):
-        out: Dict[int, List[int]] = {}
-        built: Dict[int, BitMatrix] = {}
-        rows: Dict[int, List[int]] = {d: [0] * dims.get(d + step, 0) for d in dims}
-        for src, tgt in pairs:
-            sd, si = pos[src]
-            td, ti = pos[tgt]
-            # column si of the matrix at degree sd has a 1 in row ti
-            r = rows.setdefault(sd, [0] * dims.get(sd + step, 0))
-            r[ti] |= 1 << si
-        for d, r in rows.items():
-            if dims.get(d + step, 0):
-                built[d] = BitMatrix(dims[d + step], dims[d], tuple(r))
-        return built
-
-    sq1_pairs = []
-    sq2_pairs = []
-    for j in range(n):
-        sq1_pairs.append(((j, "Sq2g"), (j, "Sq1Sq2g")))
-        sq2_pairs.append(((j, "g"), (j, "Sq2g")))
-        sq2_pairs.append(((j, "Sq1Sq2g"), (j, "Sq2Sq1Sq2g")))
-        if j > 0:
-            sq1_pairs.append(((j, "g"), (j - 1, "Sq2Sq1Sq2g")))
-    return module(labels, mats(sq1_pairs, 1), mats(sq2_pairs, 2),
-                  truncated_above=cutoff, name=f"seagull({n})+{shift}"
-                  if shift else f"seagull({n})")
+    return truncate(seagull(wings, shift), cutoff)
 
 
 def _top_composite(m: A1Module, k: int) -> BitMatrix:
@@ -137,10 +109,6 @@ def _top_composite(m: A1Module, k: int) -> BitMatrix:
 def _wing_composite(m: A1Module, k: int) -> BitMatrix:
     """Matrix of Sq2 Sq1 Sq2 from degree k."""
     return m.sq2.mat(k + 3).mul(m.sq1.mat(k + 2)).mul(m.sq2.mat(k))
-
-
-def _visible_limit(m: A1Module) -> Optional[int]:
-    return m.truncated_above
 
 
 def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
@@ -158,16 +126,10 @@ def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
             tgt = sub.get(k + step)
             if tgt is None or tgt.dim == 0:
                 continue
-            rows = [0] * tgt.dim
-            for ci, b in enumerate(s.basis):
-                v = gmap.apply(k, b)
-                coords = tgt.coords(v)
-                if coords is None:
-                    raise ShapeMismatch("subspace not closed under the action")
-                for ri in range(tgt.dim):
-                    if (coords >> ri) & 1:
-                        rows[ri] |= 1 << ci
-            mats[k] = BitMatrix(tgt.dim, s.dim, tuple(rows))
+            cols = [tgt.coords(gmap.apply(k, b)) for b in s.basis]
+            if None in cols:
+                raise ShapeMismatch("subspace not closed under the action")
+            mats[k] = BitMatrix.from_columns(tgt.dim, cols)
         return mats
 
     return module(labels, restrict(m.sq1, 1), restrict(m.sq2, 2),
@@ -183,7 +145,7 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
     the cyclic free summand and keeps its kernel.
     """
     ranks: Dict[int, int] = {}
-    cut = _visible_limit(m)
+    cut = m.truncated_above
     while True:
         found = None
         for k in m.space.degrees:
@@ -205,15 +167,10 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
 
 
 def _split_off_free(m: A1Module, k: int, x: int) -> A1Module:
-    cell = free_module(k)
-    # the map cell -> m sending the generator to x
-    gen_deg = cell.lo
-    inc = linear_map_from_generators(cell, m, [(gen_deg, 1)], [(k, x)], shift=0)
-    # a retraction m -> cell restricting to the identity on the image:
-    # prescribe values on the image generators by solving for an
-    # action-preserving map with p(x) = generator.
-    proj = linear_map_from_generators(m, cell, [(k, x)], [(k, 1)], shift=0)
-    # sanity: p on the embedded cell is an isomorphism (p o inc = id on gen)
+    # a retraction m -> A(1){k} sending x to the generator, found by solving
+    # for an action-preserving map; its kernel is the complement of the cell
+    proj = linear_map_from_generators(m, free_module(k), [(k, x)], [(k, 1)],
+                                      shift=0)
     sub = {deg: kernel(proj.mat(deg)) for deg in m.space.degrees}
     return _submodule_restriction(m, sub)
 
@@ -230,7 +187,7 @@ def classify(m: A1Module) -> DecompositionReport:
     verdict = is_q0_local(red)
     if not verdict.local:
         raise NotQ0Local(verdict.witness_degree)
-    cut = _visible_limit(red)
+    cut = red.truncated_above
 
     degrees = red.space.degrees
     seagulls: List[Dict] = []  # {"gens": [(deg, vec)], "alpha": int}
@@ -351,10 +308,7 @@ def _adjust_and_match(red, sub, seagulls, lengthened, k, b):
     c_vecs = list(base_km1.basis)
     for v in c_vecs:
         cols.append(red.sq2.apply(k - 1, v))
-    mat = BitMatrix(dk1, len(cols),
-                    tuple(sum(((v >> r) & 1) << c for c, v in enumerate(cols))
-                          for r in range(dk1)))
-    x = solve(mat, target)
+    x = solve(BitMatrix.from_columns(dk1, cols), target)
     if x is None:
         return False, b, []
     b_hat = b
@@ -373,10 +327,7 @@ def _adjust_and_match(red, sub, seagulls, lengthened, k, b):
     for i in cand:
         gvec = next(v for d, v in seagulls[i]["gens"] if d == k - 4)
         ccols.append(wing.apply(gvec))
-    cmat = BitMatrix(dk1, len(ccols),
-                     tuple(sum(((v >> r) & 1) << c for c, v in enumerate(ccols))
-                           for r in range(dk1)))
-    y = solve(cmat, rhs)
+    y = solve(BitMatrix.from_columns(dk1, ccols), rhs)
     if y is None:
         return False, b_hat, []
     hit = [cand[c] for c in range(len(cand)) if (y >> c) & 1]
@@ -411,7 +362,6 @@ def stably_equivalent(a: A1Module, b: A1Module) -> bool:
 
 
 def _descriptors_stably_equal(da: FlockDescriptor, db: FlockDescriptor) -> bool:
-    from .errors import IncomparableCutoffs
     open_a = any(not e.exact for e in da.seagulls)
     open_b = any(not e.exact for e in db.seagulls)
     if (open_a or open_b) and da.cutoff != db.cutoff:

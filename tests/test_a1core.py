@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from a1mod import a1core, structure
 from a1mod.a1core import (LMUL, WORD_DEGREE, WORDS, apply_word, direct_sum,
-                          dualize, f2, free_module, linear_map_from_generators,
-                          module, submodule_closure, suspend, tensor, truncate,
-                          validate)
-from a1mod.errors import RelationViolation
+                          dualize, f2, free_module, free_module_on,
+                          linear_map_from_generators, module,
+                          module_from_edges, submodule_closure, suspend, tensor,
+                          truncate, validate)
+from a1mod.errors import RelationViolation, ShapeMismatch
 from a1mod.f2linalg import BitMatrix, Subspace
+from a1mod.margolis import margolis_homology
 
 
 def test_word_degrees():
@@ -31,6 +33,41 @@ def test_free_module_shape():
     dims = {k: a1.space.dim(k) for k in a1.space.degrees}
     assert dims == {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}
     validate(a1)
+
+
+def test_module_from_edges_cell_order_and_cancellation():
+    m = module_from_edges([("b", 1), ("a", 0), ("c", 1)],
+                          [("a", "c"), ("a", "b"), ("a", "b")], [])
+    assert m.space.labels == {0: ("a",), 1: ("b", "c")}
+    # the repeated edge a -> b cancels; only a -> c is left
+    assert m.sq1.mat(0) == BitMatrix.from_columns(2, [0b10])
+    assert m.sq2.mat(0).is_zero()
+    with pytest.raises(ShapeMismatch):
+        module_from_edges([("a", 0), ("b", 2)], [("a", "b")], [])
+
+
+def test_free_module_on_several_generators():
+    m = free_module_on([("x", 0), ("y", 3)], name="F")
+    validate(m)
+    assert m.name == "F" and m.space.total_dim() == 16
+    assert m.space.labels[3] == ("Sq1Sq2*x", "Sq2Sq1*x", "y")
+    assert apply_word(m, "Sq2Sq1Sq2Sq1", 3, 0b100) == (9, 0b1)
+    one, same = free_module(3, "y"), free_module_on([("y", 3)])
+    assert one.name == "A(1){y}" and one.space == same.space
+    for k in one.space.degrees:
+        assert (one.sq1.mat(k), one.sq2.mat(k)) == (same.sq1.mat(k),
+                                                    same.sq2.mat(k))
+
+
+def test_truncation_bounds_follow_transforms():
+    m = suspend(dualize(structure.seagull_inf(20)), 3)
+    assert (m.truncated_above, m.truncated_below) == (None, -17)
+    q0 = margolis_homology(m, "Q0")
+    assert [k for k in q0.nonzero_degrees() if q0.in_range(k)] == [3]
+    assert truncate(m, 0).truncated_below == -17
+    both = direct_sum(m, suspend(m, 2))
+    assert (both.truncated_above, both.truncated_below) == (None, -15)
+    assert dualize(both).truncated_above == 15
 
 
 def test_relation_violation():

@@ -60,10 +60,8 @@ def test_criterion_03_basis_invariance():
                                  tuple(rng.getrandbits(n) for _ in range(n)))
                 if rank(cand) == n:
                     break
-            cols = [solve(cand, 1 << j) for j in range(n)]
-            inv = BitMatrix(n, n, tuple(
-                sum(((c >> i) & 1) << j for j, c in enumerate(cols))
-                for i in range(n)))
+            inv = BitMatrix.from_columns(
+                n, [solve(cand, 1 << j) for j in range(n)])
             mats[k], invs[k] = cand, inv
         sq1, sq2 = {}, {}
         for k in base.space.degrees:
@@ -126,6 +124,11 @@ def test_criterion_07_two_path_tower_agreement():
         assert towers == {4 * j for j in range(n)}
     f2_towers = {k for k, v in h0_tower_counts(f2(), 12).items() if v}
     assert f2_towers == {0, 4, 8, 12}
+    # towers in negative stems: both routes start at the bottom degree
+    for m, want in ((suspend(seagull(2), -7), [-7, -3]),
+                    (suspend(f2(), -2), [-2, 2, 6, 10])):
+        towers = sorted(k for k, v in h0_tower_counts(m, 10).items() if v)
+        assert towers == want == localized_ext(m, 10).tower_stems()
 
 
 def test_criterion_08_d2_correctness():

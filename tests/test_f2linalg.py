@@ -78,7 +78,7 @@ def test_kernel_vectors_annihilated(m):
 @settings(max_examples=60, deadline=None)
 def test_image_dim(m):
     sp = image(m)
-    assert sp.dim == rank(m)
+    assert sp.dim == rank(m) == rank(m.transpose())
     for j in range(m.cols):
         assert sp.contains(m.apply(1 << j))
 
@@ -147,6 +147,28 @@ def test_transpose_stack_blockdiag():
     bd = BitMatrix.block_diag([a, b])
     assert bd.rows == 3 and bd.cols == 4
     assert bd.get(2, 2) == 0 and bd.get(2, 3) == 1
+
+
+@given(matrices)
+@settings(max_examples=60, deadline=None)
+def test_from_columns_round_trips(m):
+    cols = [m.column(j) for j in range(m.cols)]
+    built = BitMatrix.from_columns(m.rows, cols)
+    assert built == m
+    for j, c in enumerate(cols):
+        assert built.apply(1 << j) == c
+    assert m.transpose().transpose() == m
+    assert m.transpose() == BitMatrix.from_columns(m.cols, m.data)
+
+
+def test_from_columns_shapes():
+    assert BitMatrix.from_columns(0, []) == BitMatrix.zeros(0, 0)
+    assert BitMatrix.from_columns(3, []) == BitMatrix.zeros(3, 0)
+    assert BitMatrix.from_columns(0, [0, 0]) == BitMatrix.zeros(0, 2)
+    m = BitMatrix.from_columns(2, [0b01, 0b11, 0b00])
+    assert m == BitMatrix.from_rows([[1, 1, 0], [0, 1, 0]])
+    with pytest.raises(ShapeMismatch):
+        BitMatrix.from_columns(2, [0b100])
 
 
 def test_add_is_xor():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from a1mod import a1core, structure
 from a1mod.errors import ParseError
+from a1mod.margolis import margolis_homology
 from a1mod.modfile import parse, parse_module, serialize, to_module
 
 EXAMPLE = """\
@@ -77,6 +78,47 @@ def test_undeclared_actions_are_zero():
     mf = parse("module m\ngen a 0\ngen b 1\n")
     m = to_module(mf)
     assert m.sq1.mat(0).is_zero()
+
+
+def test_repeated_target_cancels():
+    m = parse_module("module m\ngen a 0\ngen b 1\nsq1 a = b + b\n")
+    assert m.sq1.mat(0).is_zero()
+
+
+def test_truncated_below_keyword():
+    m = parse_module("module m\ngen a -3\ntruncated_below -3\n")
+    assert (m.truncated_above, m.truncated_below) == (None, -3)
+    assert serialize(m).endswith("truncated_below -3\n")
+    with pytest.raises(ParseError) as exc:
+        parse_module("module m\ntruncated_below low\n")
+    assert exc.value.line_no == 2
+
+
+BASES = [structure.seagull(2), structure.seagull_inf(14),
+         structure.seagull_inf(12, shift=-3), a1core.free_module(1),
+         a1core.f2(2)]
+STEPS = st.lists(st.tuples(st.sampled_from(["dual", "suspend", "truncate"]),
+                           st.integers(-6, 12)), max_size=4)
+
+
+@given(st.sampled_from(BASES), STEPS)
+@settings(max_examples=40, deadline=None)
+def test_roundtrip_keeps_truncation_bounds(base, steps):
+    m = base
+    for kind, x in steps:
+        if kind == "dual":
+            m = a1core.dualize(m)
+        elif kind == "suspend":
+            m = a1core.suspend(m, x)
+        else:
+            m = a1core.truncate(m, (m.lo or 0) + x)
+    m2 = parse_module(serialize(m))
+    assert (m2.truncated_above, m2.truncated_below) == \
+        (m.truncated_above, m.truncated_below)
+    for op in ("Q0", "Q1"):
+        for side in ("module", "dual"):
+            h, h2 = (margolis_homology(x, op, side) for x in (m, m2))
+            assert (h2.dims, h2.reliable) == (h.dims, h.reliable)
 
 
 @given(st.integers(1, 4), st.integers(0, 6))
