@@ -238,14 +238,22 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
 
 
 def validate(m: A1Module) -> None:
-    """Check shapes and the two defining relations on every checkable degree."""
+    """Check the two defining relations on every checkable degree.
+
+    Degree k is checked with the products of the structure matrices
+    leaving degrees k..k+3, at most four matrix products per degree, so the
+    cost is linear in the number of degrees.  Sq1 Sq1 is checked before
+    Sq2 Sq2 at each degree, lowest degree first; the first failure raises
+    ``RelationViolation``.
+    """
+    sq1, sq2 = m.sq1.mat, m.sq2.mat
     for k in m.space.degrees:
         if m.truncated_above is None or k + 2 <= m.truncated_above:
-            if not m.sq1.compose(m.sq1).mat(k).is_zero():
+            if not sq1(k + 1).mul(sq1(k)).is_zero():
                 raise RelationViolation(k, "Sq1 Sq1 = 0")
         if m.truncated_above is None or k + 4 <= m.truncated_above:
-            lhs = m.sq2.compose(m.sq2).mat(k)
-            rhs = m.sq1.compose(m.sq2).compose(m.sq1).mat(k)
+            lhs = sq2(k + 2).mul(sq2(k))
+            rhs = sq1(k + 3).mul(sq2(k + 1)).mul(sq1(k))
             if not lhs.add(rhs).is_zero():
                 raise RelationViolation(k, "Sq2 Sq2 = Sq1 Sq2 Sq1")
 
@@ -302,6 +310,10 @@ def _bound(a: Optional[int], b: Optional[int], pick) -> Optional[int]:
     return pick(a, b)
 
 
+def _shifted(bound: Optional[int], by: int) -> Optional[int]:
+    return None if bound is None else bound + by
+
+
 def direct_sum(a: A1Module, b: A1Module) -> A1Module:
     cut = _bound(a.truncated_above, b.truncated_above, min)
     labels = {k: [f"L.{s}" for s in a.space.labels.get(k, ())] +
@@ -325,12 +337,9 @@ def suspend(m: A1Module, t: int) -> A1Module:
     labels = {k + t: list(v) for k, v in m.space.labels.items()}
     sq1 = {k + t: mat for k, mat in m.sq1.mats.items()}
     sq2 = {k + t: mat for k, mat in m.sq2.mats.items()}
-
-    def moved(bound: Optional[int]) -> Optional[int]:
-        return None if bound is None else bound + t
-
-    return module(labels, sq1, sq2, truncated_above=moved(m.truncated_above),
-                  truncated_below=moved(m.truncated_below),
+    return module(labels, sq1, sq2,
+                  truncated_above=_shifted(m.truncated_above, t),
+                  truncated_below=_shifted(m.truncated_below, t),
                   name=f"S^{t}{m.name}" if m.name else "")
 
 
@@ -354,12 +363,11 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
     """
     if a.lo is None or b.lo is None:
         return zero_module()
-    cut = None
-    if a.truncated_above is not None:
-        cut = a.truncated_above + b.lo
-    if b.truncated_above is not None:
-        c2 = b.truncated_above + a.lo
-        cut = c2 if cut is None else min(cut, c2)
+    # a degree is complete when every factor pair summing to it is
+    cut = _bound(_shifted(a.truncated_above, b.lo),
+                 _shifted(b.truncated_above, a.lo), min)
+    floor = _bound(_shifted(a.truncated_below, b.hi),
+                   _shifted(b.truncated_below, a.hi), max)
 
     # index[(p, i, q, j)] -> position in degree p+q
     labels: Dict[int, List[str]] = {}
@@ -416,7 +424,8 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
         return mats
 
     name = f"{a.name}(x){b.name}" if a.name and b.name else ""
-    return module(labels, build(1), build(2), truncated_above=cut, name=name)
+    return module(labels, build(1), build(2), truncated_above=cut,
+                  truncated_below=floor, name=name)
 
 
 def dualize(m: A1Module) -> A1Module:

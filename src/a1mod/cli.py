@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain error (invalid module, failed check),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -274,7 +275,9 @@ def _cmd_dual(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state in it."""
     p = argparse.ArgumentParser(prog="a1mod", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -339,8 +339,9 @@ class E3Page:
         return sorted(out)
 
 
-def _dual_homology(m: A1Module):
-    h = margolis_homology(m, "Q0", side="dual")
+def _dual_homology(dual: A1Module):
+    """Q0-homology of an already dualized module, with class labels."""
+    h = margolis_homology(dual, "Q0")
     classes: List[Tuple[int, str]] = []
     for k in sorted(h.reps):
         for i in range(len(h.reps[k])):
@@ -349,7 +350,7 @@ def _dual_homology(m: A1Module):
 
 
 def e1_page(m: A1Module, max_sigma: int) -> LocalizedE1:
-    h, classes = _dual_homology(m)
+    h, classes = _dual_homology(dualize(m))
     records: List[Tuple[int, int, str]] = []
     for sigma in range(0, max_sigma + 1, 2):
         for (delta, label) in classes:
@@ -360,8 +361,8 @@ def e1_page(m: A1Module, max_sigma: int) -> LocalizedE1:
 def d2(m: A1Module) -> D2Data:
     """The closed-form first differential: right multiplication by Sq2Sq1Sq2
     on dual Q0-homology, dropping one stem and raising filtration by two."""
-    h, classes = _dual_homology(m)
     dual = dualize(m)
+    h, classes = _dual_homology(dual)
     mats: Dict[int, BitMatrix] = {}
     pairs: List[Tuple[str, str]] = []
     label_at = {}
@@ -395,10 +396,9 @@ def d2(m: A1Module) -> D2Data:
 
 def e3_page(m: A1Module) -> E3Page:
     data = d2(m)
-    h, _ = _dual_homology(m)
     first: List[Tuple[int, int]] = []
     generic: List[Tuple[int, int]] = []
-    for delta in sorted(h.reps):
+    for delta in sorted(data.mats):  # the degrees of the dual Q0-homology
         ker_dim = kernel(data.mats[delta]).dim
         src = data.mats.get(delta - 5)  # maps classes at delta-5 into delta
         im_dim = image(src).dim if src is not None and src.rows else 0

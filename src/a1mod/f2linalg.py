@@ -21,7 +21,7 @@ __all__ = [
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def dot(u: int, v: int) -> int:
@@ -94,17 +94,22 @@ class BitMatrix:
         return out
 
     def mul(self, other: "BitMatrix") -> "BitMatrix":
-        """self @ other (apply ``other`` first when both act on columns)."""
+        """self @ other (apply ``other`` first when both act on columns).
+
+        Row i of the product is the XOR of the rows of ``other`` picked by
+        the set bits of row i of ``self``: one XOR per set bit of ``self``.
+        """
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by "
                                 f"{other.rows}x{other.cols}")
-        cols_of_other = [other.column(j) for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            r = 0
-            for j, c in enumerate(cols_of_other):
-                r |= dot(self.data[i], c) << j
-            out.append(r)
+        for r in self.data:
+            acc = 0
+            while r:
+                low = r & -r
+                acc ^= other.data[low.bit_length() - 1]
+                r ^= low
+            out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     def add(self, other: "BitMatrix") -> "BitMatrix":

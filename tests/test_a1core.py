@@ -78,6 +78,54 @@ def test_relation_violation():
                {})
 
 
+def _violation(cells, sq1_edges, sq2_edges, **kwargs):
+    with pytest.raises(RelationViolation) as exc:
+        module_from_edges(cells, sq1_edges, sq2_edges, **kwargs)
+    return exc.value.degree, exc.value.relation
+
+
+# Sq1 Sq1 a = c at degree 3; Sq2 Sq2 a = c at degree 2 while Sq1 a = 0
+SQ1_BROKEN = ([("x", 0), ("a", 3), ("b", 4), ("c", 5)],
+              [("a", "b"), ("b", "c")], [])
+SQ2_BROKEN = ([("x", 0), ("a", 2), ("b", 4), ("c", 6)],
+              [], [("a", "b"), ("b", "c")])
+
+
+def test_relation_violation_reports_degree_and_relation():
+    assert _violation(*SQ1_BROKEN) == (3, "Sq1 Sq1 = 0")
+    assert _violation(*SQ2_BROKEN) == (2, "Sq2 Sq2 = Sq1 Sq2 Sq1")
+    # lowest degree first: Sq2 Sq2 fails at 2, Sq1 Sq1 at 5
+    assert _violation([("a", 2), ("b", 4), ("c", 6), ("p", 5), ("q", 7)],
+                      [("p", "c"), ("c", "q")],
+                      [("a", "b"), ("b", "c")]) == (2, "Sq2 Sq2 = Sq1 Sq2 Sq1")
+    # both fail at degree 2: Sq1 Sq1 is checked first
+    assert _violation([("a", 2), ("b", 3), ("c", 4), ("d", 6)],
+                      [("a", "b"), ("b", "c")],
+                      [("a", "c"), ("c", "d")]) == (2, "Sq1 Sq1 = 0")
+
+
+def test_relation_checks_respect_the_truncation_cutoff():
+    # Sq1 Sq1 at degree k is checked when k + 2 <= cutoff, Sq2 Sq2 when k + 4
+    assert _violation(*SQ1_BROKEN, truncated_above=5) == (3, "Sq1 Sq1 = 0")
+    module_from_edges(*SQ1_BROKEN, truncated_above=4)
+    assert _violation(*SQ2_BROKEN, truncated_above=6) == \
+        (2, "Sq2 Sq2 = Sq1 Sq2 Sq1")
+    module_from_edges(*SQ2_BROKEN, truncated_above=5)
+
+
+def test_validate_work_is_linear_in_degrees(monkeypatch):
+    # a count, not a timing: at most four products per degree
+    mul = BitMatrix.mul
+    for n in (4, 16):
+        m = structure.seagull(n)
+        calls = []
+        monkeypatch.setattr(BitMatrix, "mul",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        validate(m)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 4 * len(m.space.degrees)
+
+
 def test_apply_word_order():
     # rightmost factor acts first: on the free module, Sq2Sq1 g lives in
     # degree 3 and differs from Sq1Sq2 g
@@ -181,6 +229,24 @@ def test_submodule_closure():
     # the top wing alone generates only itself
     closed = submodule_closure(a1, {6: [1]})
     assert sum(sp.dim for sp in closed.values()) == 1
+
+
+def test_tensor_keeps_truncated_below():
+    d = dualize(structure.seagull_inf(20))
+    t = tensor(d, f2())
+    assert (t.truncated_above, t.truncated_below) == (None, -20)
+    q0 = margolis_homology(t, "Q0")
+    assert [k for k in q0.nonzero_degrees() if q0.in_range(k)] == [0]
+    assert tensor(f2(), d).truncated_below == -20
+
+
+def test_tensor_truncated_below_kunneth():
+    # Q0 and Q1 homology of a tensor product is the tensor of the homologies
+    t = tensor(dualize(structure.seagull_inf(20)), structure.seagull(1))
+    assert t.truncated_below == -15
+    for op, want in (("Q0", [0, 5]), ("Q1", [])):
+        h = margolis_homology(t, op)
+        assert [k for k in h.nonzero_degrees() if h.in_range(k)] == want
 
 
 @given(st.integers(1, 5), st.integers(1, 5))

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from a1mod import cli
 from a1mod.cli import main
 
 
@@ -168,3 +169,13 @@ def test_generator_output_parses(capsys, tmp_path):
     m = parse_module(rec["payload"]["module_text"])
     assert min(m.space.degrees) == 2
     assert sum(m.space.dim(k) for k in m.space.degrees) == 12
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    p = cli._parser()
+    assert cli._parser() is p
+    assert p.parse_args(["ext", "m.mod", "--algebra", "a0", "--max-s", "1",
+                         "--max-t", "2"]).algebra == "a0"
+    assert p.parse_args(["ext", "m.mod", "--max-s", "1",
+                         "--max-t", "2"]).algebra == "a1"
+    assert not hasattr(p.parse_args(["info", "m.mod"]), "algebra")

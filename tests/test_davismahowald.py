@@ -1,6 +1,6 @@
 import random
 
-from a1mod import a1core, structure
+from a1mod import a1core, davismahowald, margolis, structure
 from a1mod.a1core import (apply_word, direct_sum, f2, free_module, suspend,
                           tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
@@ -102,6 +102,19 @@ def test_e3_seagull1():
     page = e3_page(structure.seagull(1))
     assert [(s, d) for s, d in page.first_column if d] == [(0, 1)]
     assert [(k, d) for k, d in page.generic if d] == []
+
+
+def test_e3_page_dualizes_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return a1core.dualize(m)
+
+    for mod in (davismahowald, margolis):
+        monkeypatch.setattr(mod, "dualize", counting)
+    e3_page(structure.seagull(3))
+    assert len(calls) == 1
 
 
 def test_e3_seagull2_mismatch():

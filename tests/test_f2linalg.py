@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from a1mod.errors import ShapeMismatch
 from a1mod.f2linalg import (BitMatrix, Subspace, complement, image, intersect,
-                            kernel, preimage, rank, rref, solve)
+                            kernel, popcount, preimage, rank, rref, solve)
 
 
 def rand_matrix(rng, rows, cols):
@@ -181,3 +181,33 @@ def test_shape_mismatch():
         BitMatrix.identity(2).mul(BitMatrix.identity(3))
     with pytest.raises(ShapeMismatch):
         BitMatrix(2, 2, (0b111, 0))
+
+
+def reference_product(a, b):
+    """Entry (i, j) is the parity of sum_k a[i, k] b[k, j], entry by entry."""
+    rows = []
+    for i in range(a.rows):
+        row = 0
+        for j in range(b.cols):
+            bit = 0
+            for k in range(a.cols):
+                bit ^= a.get(i, k) & b.get(k, j)
+            row |= bit << j
+        rows.append(row)
+    return BitMatrix(a.rows, b.cols, tuple(rows))
+
+
+@given(st.integers(0, 10**6), st.lists(st.integers(0, 9), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_entrywise_product_and_associates(seed, dims):
+    rng = random.Random(seed)
+    r, n, c, d = dims
+    a, b, e = (rand_matrix(rng, r, n), rand_matrix(rng, n, c),
+               rand_matrix(rng, c, d))
+    assert a.mul(b) == reference_product(a, b)
+    assert a.mul(b).mul(e) == a.mul(b.mul(e))
+
+
+@given(st.integers(0, 2**200))
+def test_popcount_counts_set_bits(x):
+    assert popcount(x) == bin(x).count("1")

@@ -99,12 +99,13 @@ BASES = [structure.seagull(2), structure.seagull_inf(14),
          a1core.f2(2)]
 STEPS = st.lists(st.tuples(st.sampled_from(["dual", "suspend", "truncate"]),
                            st.integers(-6, 12)), max_size=4)
+# small factors, bounded and truncated on either side, for one tensor step
+FACTORS = [None, structure.seagull(1), a1core.f2(-2),
+           a1core.dualize(structure.seagull_inf(8)),
+           a1core.truncate(structure.seagull(2, shift=-1), 4)]
 
 
-@given(st.sampled_from(BASES), STEPS)
-@settings(max_examples=40, deadline=None)
-def test_roundtrip_keeps_truncation_bounds(base, steps):
-    m = base
+def _transform(m, steps):
     for kind, x in steps:
         if kind == "dual":
             m = a1core.dualize(m)
@@ -112,6 +113,17 @@ def test_roundtrip_keeps_truncation_bounds(base, steps):
             m = a1core.suspend(m, x)
         else:
             m = a1core.truncate(m, (m.lo or 0) + x)
+    return m
+
+
+@given(st.sampled_from(BASES), STEPS, st.sampled_from(FACTORS),
+       st.booleans(), STEPS)
+@settings(max_examples=40, deadline=None)
+def test_roundtrip_keeps_truncation_bounds(base, steps, factor, left, after):
+    m = _transform(base, steps)
+    if factor is not None:
+        m = _transform(a1core.tensor(m, factor) if left
+                       else a1core.tensor(factor, m), after)
     m2 = parse_module(serialize(m))
     assert (m2.truncated_above, m2.truncated_below) == \
         (m.truncated_above, m.truncated_below)
