@@ -25,7 +25,7 @@ from .errors import RelationViolation, ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, solve
 
 __all__ = [
-    "WORDS", "WORD_DEGREE", "LMUL",
+    "WORDS", "WORD_DEGREE", "LMUL", "TOP_WORD", "DUAL_WORD",
     "GradedSpace", "GradedMap", "A1Module",
     "module", "module_from_edges", "validate", "f2", "free_module",
     "free_module_on", "zero_module",
@@ -58,6 +58,33 @@ LMUL: Dict[str, Dict[str, Optional[str]]] = {
         "Sq1Sq2Sq1": "Sq2Sq1Sq2Sq1", "Sq2Sq1Sq2": None, "Sq2Sq1Sq2Sq1": None,
     },
 }
+
+# The top class, in degree 6.
+TOP_WORD = WORDS[-1]
+
+
+def _times(u: str, w: str) -> Optional[str]:
+    """The product u w (w first) as a word, or None when it vanishes."""
+    for i in range(len(u) - 3, -1, -3):  # rightmost factor of u first
+        w = LMUL[u[i:i + 3]][w]
+        if w is None:
+            return None
+    return w
+
+
+def _dual_words() -> Dict[str, str]:
+    # The coefficient of the top class in u w is a nondegenerate pairing
+    # (A(1) is a Frobenius algebra), and the words form dual bases under it.
+    table = {w: [v for v in WORDS if _times(v, w) == TOP_WORD] for w in WORDS}
+    assert all(len(v) == 1 for v in table.values()), table
+    assert len({v[0] for v in table.values()}) == len(WORDS), table
+    return {w: v[0] for w, v in table.items()}
+
+
+# DUAL_WORD[w] is the unique word v with v w equal to the top class: the
+# coefficient of w in an element a of A(1) is the top-class coefficient of
+# DUAL_WORD[w] a.
+DUAL_WORD: Dict[str, str] = _dual_words()
 
 
 class GradedSpace:

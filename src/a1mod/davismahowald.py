@@ -15,7 +15,7 @@ from .a1core import (A1Module, GradedMap, apply_word, dualize, f2,
 from .errors import ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
-from .structure import _wing_composite, default_cutoff, localize_q0, seagull
+from .structure import _word_matrix, default_cutoff, localize_q0, seagull
 
 __all__ = [
     "NSigma", "DMComplexStage", "InjectiveStage",
@@ -512,7 +512,7 @@ def sq4_solver(m: A1Module) -> Sq4Result:
     def entry(k: int, r: int, c: int) -> int:
         return offsets[k] + r * m.dim(k) + c
 
-    wing = {k: _wing_composite(m, k) for k in degs}
+    wing = {k: _word_matrix(m, "Sq2Sq1Sq2", k) for k in degs}
     rows: List[int] = []
     rhs_bits: List[int] = []
     for k in degs:

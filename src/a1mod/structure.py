@@ -6,6 +6,13 @@ A seagull of length n starting in degree a has generators g_{a+4j},
 j = 0..n-1; each generator carries the four classes g, Sq2 g, Sq1Sq2 g and
 Sq2Sq1Sq2 g, and consecutive generators are linked by
 Sq1 g_{a+4j} = Sq2Sq1Sq2 g_{a+4(j-1)}.
+
+Free summands split off in closed form.  A(1) is a Frobenius algebra
+(Margolis, *Spectra and the Steenrod Algebra*, 1983), so free modules are
+injective and a module map M -> A(1){k} is fixed by one linear functional
+phi on M_{k+6}: it sends y to sum_w phi(w^ y) w g, where w^ is the dual
+word of w (``a1core.DUAL_WORD``).  ``strip_free`` picks all free generators
+and all functionals at once and keeps the common kernel of the retractions.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (A1Module, direct_sum, free_module, linear_map_from_generators,
-                     module, module_from_edges, submodule_closure, tensor,
-                     truncate, zero_module)
+from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
+                     direct_sum, free_module, module, module_from_edges,
+                     submodule_closure, tensor, truncate, zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import BitMatrix, Subspace, complement, kernel, solve
 from .margolis import is_q0_local
@@ -100,15 +107,14 @@ def seagull_inf(cutoff: int, shift: int = 0) -> A1Module:
     return truncate(seagull(wings, shift), cutoff)
 
 
-def _top_composite(m: A1Module, k: int) -> BitMatrix:
-    """Matrix of Sq2 Sq1 Sq2 Sq1 from degree k (the top class of a free cell)."""
-    return (m.sq2.mat(k + 4).mul(m.sq1.mat(k + 3))
-            .mul(m.sq2.mat(k + 1)).mul(m.sq1.mat(k)))
-
-
-def _wing_composite(m: A1Module, k: int) -> BitMatrix:
-    """Matrix of Sq2 Sq1 Sq2 from degree k."""
-    return m.sq2.mat(k + 3).mul(m.sq1.mat(k + 2)).mul(m.sq2.mat(k))
+def _word_matrix(m: A1Module, word: str, k: int) -> BitMatrix:
+    """Matrix of a composite word (rightmost factor first) from degree k."""
+    out = None
+    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
+        sq = m.sq1 if word[i:i + 3] == "Sq1" else m.sq2
+        out = sq.mat(k) if out is None else sq.mat(k).mul(out)
+        k += sq.shift
+    return BitMatrix.identity(m.dim(k)) if out is None else out
 
 
 def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
@@ -133,46 +139,70 @@ def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
         return mats
 
     return module(labels, restrict(m.sq1, 1), restrict(m.sq2, 2),
-                  truncated_above=m.truncated_above, name=m.name)
+                  truncated_above=m.truncated_above,
+                  truncated_below=m.truncated_below, name=m.name)
+
+
+def _free_cells(m: A1Module) -> Dict[int, Tuple[List[int], BitMatrix]]:
+    """Generators of a maximal free summand and their top functionals.
+
+    For each degree k (k <= cutoff - 6 when truncated above) where the top
+    composite T = Sq2Sq1Sq2Sq1 is nonzero: generators x_1..x_r complementing
+    the kernel of T, and a matrix whose row i is a functional phi_i on
+    degree k + 6 with phi_i(T x_j) = delta_ij.
+    """
+    cells: Dict[int, Tuple[List[int], BitMatrix]] = {}
+    cut = m.truncated_above
+    for k in m.space.degrees:
+        if cut is not None and k > cut - BOUNDARY:
+            break
+        top = _word_matrix(m, TOP_WORD, k)
+        if top.is_zero():
+            continue
+        gens = complement(kernel(top), Subspace.full(m.dim(k)))
+        tops = BitMatrix(len(gens), top.rows, tuple(top.apply(x) for x in gens))
+        cells[k] = (gens, BitMatrix(len(gens), top.rows, tuple(
+            solve(tops, 1 << i) for i in range(len(gens)))))
+    return cells
 
 
 def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
-    """Split off free summands until no generator with nonzero top class
-    action remains (below cutoff - 6 when truncated).
+    """Split off a maximal free summand (generated below cutoff - 6 when
+    truncated above) in one pass.
 
-    Returns the reduced module and the rank of the free part per generator
-    degree.  Each split builds an explicit action-preserving retraction onto
-    the cyclic free summand and keeps its kernel.
+    Returns the complement and the rank of the free part per generator
+    degree; the input itself when nothing splits.  The retraction onto the
+    cell on x_i in degree k sends y to sum_w phi_i(w^ y) w g, where w^ is
+    the dual word of w and phi_i the functional from ``_free_cells``; it is
+    an A(1)-map because A(1) is a Frobenius algebra (Margolis, 1983).  It
+    sends x_i to g and the other generators of degree k to 0, so retraction
+    after inclusion is the identity modulo decomposables, hence invertible
+    (Nakayama), and M is the free part plus the common kernel of the
+    retractions: in degree d, the null space of the rows phi_i o w^ over
+    every cell (k, i) and word w with k + |w| = d.
     """
-    ranks: Dict[int, int] = {}
-    cut = m.truncated_above
-    while True:
-        found = None
-        for k in m.space.degrees:
-            if cut is not None and k > cut - BOUNDARY:
-                break
-            top = _top_composite(m, k)
-            if top.is_zero():
-                continue
-            # any vector with nonzero top-composite generates a free summand
-            ker = kernel(top)
-            cands = complement(ker, Subspace.full(m.dim(k)))
-            found = (k, cands[0])
-            break
-        if found is None:
-            return m, ranks
-        k, x = found
-        m = _split_off_free(m, k, x)
-        ranks[k] = ranks.get(k, 0) + 1
+    cells = _free_cells(m)
+    if not cells:
+        return m, {}
+    rows: Dict[int, List[int]] = {}
+    for k, (_, phis) in cells.items():
+        for w in WORDS:
+            d = k + WORD_DEGREE[w]
+            if m.dim(d):
+                rows.setdefault(d, []).extend(
+                    phis.mul(_word_matrix(m, DUAL_WORD[w], d)).data)
+    sub = {d: kernel(BitMatrix(len(rows.get(d, ())), m.dim(d),
+                               tuple(rows.get(d, ()))))
+           for d in m.space.degrees}
+    return (_submodule_restriction(m, sub),
+            {k: len(gens) for k, (gens, _) in cells.items()})
 
 
-def _split_off_free(m: A1Module, k: int, x: int) -> A1Module:
-    # a retraction m -> A(1){k} sending x to the generator, found by solving
-    # for an action-preserving map; its kernel is the complement of the cell
-    proj = linear_map_from_generators(m, free_module(k), [(k, x)], [(k, 1)],
-                                      shift=0)
-    sub = {deg: kernel(proj.mat(deg)) for deg in m.space.degrees}
-    return _submodule_restriction(m, sub)
+def _require_bottom(m: A1Module) -> None:
+    if m.truncated_below is not None:
+        raise TruncationTooTight(
+            f"classification needs the bottom of the module; it is truncated "
+            f"below degree {m.truncated_below}")
 
 
 def classify(m: A1Module) -> DecompositionReport:
@@ -180,8 +210,11 @@ def classify(m: A1Module) -> DecompositionReport:
     part, by induction over degrees.
 
     Raises NotQ0Local when the module has Q1-homology in the reliable window
-    or when the inductive invariants fail outside the truncation boundary.
+    or when the inductive invariants fail outside the truncation boundary,
+    and TruncationTooTight for a module truncated below: the induction
+    starts at the bottom degree, which such a module does not carry.
     """
+    _require_bottom(m)
     log: List[str] = []
     red, free_ranks = strip_free(m)
     verdict = is_q0_local(red)
@@ -225,7 +258,7 @@ def classify(m: A1Module) -> DecompositionReport:
         for b in kernel_gens:
             new_vectors.append(b)
             if wing_visible(k):
-                wing = _wing_composite(red, k).apply(b)
+                wing = _word_matrix(red, "Sq2Sq1Sq2", k).apply(b)
                 if wing:
                     seagulls.append({"alpha": k, "gens": [(k, b)]})
                     continue
@@ -322,7 +355,7 @@ def _adjust_and_match(red, sub, seagulls, lengthened, k, b):
     if rhs == 0:
         # cannot happen for a generator outside ker + submodule
         return False, b_hat, []
-    wing = _wing_composite(red, k - 4)
+    wing = _word_matrix(red, "Sq2Sq1Sq2", k - 4)
     ccols = []
     for i in cand:
         gvec = next(v for d, v in seagulls[i]["gens"] if d == k - 4)
@@ -337,6 +370,7 @@ def _adjust_and_match(red, sub, seagulls, lengthened, k, b):
 def localize_q0(m: A1Module, cutoff: Optional[int] = None) -> DecompositionReport:
     """Classify the Q0-localization: tensor with a truncated infinite seagull
     and decompose.  The result carries the effective cutoff."""
+    _require_bottom(m)
     if m.lo is None:
         return classify(m)
     if cutoff is None:

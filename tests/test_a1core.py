@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, structure
-from a1mod.a1core import (LMUL, WORD_DEGREE, WORDS, apply_word, direct_sum,
-                          dualize, f2, free_module, free_module_on,
-                          linear_map_from_generators, module,
+from a1mod.a1core import (DUAL_WORD, LMUL, TOP_WORD, WORD_DEGREE, WORDS,
+                          apply_word, direct_sum, dualize, f2, free_module,
+                          free_module_on, linear_map_from_generators, module,
                           module_from_edges, submodule_closure, suspend, tensor,
                           truncate, validate)
 from a1mod.errors import RelationViolation, ShapeMismatch
@@ -26,6 +26,22 @@ def test_lmul_relations():
     # top class is killed by both generators
     top = "Sq2Sq1Sq2Sq1"
     assert LMUL["Sq1"][top] is None and LMUL["Sq2"][top] is None
+
+
+def test_dual_words():
+    assert TOP_WORD == "Sq2Sq1Sq2Sq1"
+    assert DUAL_WORD == {
+        "1": "Sq2Sq1Sq2Sq1", "Sq1": "Sq2Sq1Sq2", "Sq2": "Sq1Sq2Sq1",
+        "Sq1Sq2": "Sq1Sq2", "Sq2Sq1": "Sq2Sq1",
+        "Sq1Sq2Sq1": "Sq2", "Sq2Sq1Sq2": "Sq1", "Sq2Sq1Sq2Sq1": "1"}
+    # on the free module, the dual word carries each word to the top class
+    # and every other word of its degree to zero
+    a1 = free_module()
+    for w in WORDS:
+        for u in WORDS:
+            if WORD_DEGREE[u] == WORD_DEGREE[w]:
+                d, v = apply_word(a1, u, 0, 1)
+                assert apply_word(a1, DUAL_WORD[w], d, v) == (6, int(u == w))
 
 
 def test_free_module_shape():

@@ -157,6 +157,18 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert json.loads(err)["error"]
 
 
+def test_floor_refused_exit_1(capsys, tmp_path):
+    # classification starts at the bottom degree, which a module truncated
+    # below does not carry
+    sinf, dual = tmp_path / "sinf.mod", tmp_path / "dual.mod"
+    record(capsys, "seagull", "--infinite", "--cutoff", "20", "-o", str(sinf))
+    record(capsys, "dual", str(sinf), "-o", str(dual))
+    for command in ("classify", "localize", "lift-check"):
+        code, out, err = run(capsys, command, str(dual))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].endswith("truncated below degree -20")
+
+
 def test_usage_error_exit_2(s1):
     with pytest.raises(SystemExit) as exc:
         main(["margolis", s1])          # --operator is required

@@ -1,13 +1,16 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import a1core, structure
-from a1mod.a1core import direct_sum, free_module, suspend, tensor
-from a1mod.errors import IncomparableCutoffs
-from a1mod.f2linalg import BitMatrix, Subspace, image, intersect, kernel
+from a1mod import a1core, davismahowald, structure
+from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, apply_word,
+                          direct_sum, dualize, free_module, suspend, tensor)
+from a1mod.errors import IncomparableCutoffs, TruncationTooTight
+from a1mod.f2linalg import (BitMatrix, Subspace, dot, image, intersect, kernel,
+                            rank)
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
                              localize_q0, realize, seagull, seagull_inf,
                              stably_equivalent, strip_free)
@@ -51,6 +54,103 @@ def test_strip_free():
     red, ranks = strip_free(m)
     assert {k: r for k, r in ranks.items() if r} == {0: 1, 3: 1}
     assert sum(red.space.dim(k) for k in red.space.degrees) == 8
+
+
+def _top_rank(m, k):
+    return rank(structure._word_matrix(m, TOP_WORD, k))
+
+
+def test_word_matrix_matches_apply_word():
+    m = _random_automorphism(random.Random(3), direct_sum(
+        seagull(2), direct_sum(free_module(1), a1core.f2(2))))
+    for w in WORDS:
+        for k in range(-1, 8):
+            mat = structure._word_matrix(m, w, k)
+            assert (mat.rows, mat.cols) == (m.dim(k + WORD_DEGREE[w]), m.dim(k))
+            for i in range(m.dim(k)):
+                assert mat.apply(1 << i) == apply_word(m, w, k, 1 << i)[1]
+
+
+def _random_split_input(rng):
+    """A sum of shifted seagulls, free cells and F2 in a random basis;
+    sometimes with a truncated infinite seagull."""
+    parts = [seagull(rng.randint(1, 3), rng.randint(-3, 6))
+             for _ in range(rng.randint(0, 2))]
+    parts += [free_module(rng.randint(-3, 6)) for _ in range(rng.randint(1, 3))]
+    parts += [a1core.f2(rng.randint(-3, 6)) for _ in range(rng.randint(0, 1))]
+    if rng.random() < 0.3:
+        parts.append(seagull_inf(rng.randint(12, 20), rng.randint(-2, 4)))
+    return _random_automorphism(rng, reduce(direct_sum, rng.sample(parts,
+                                                                   len(parts))))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_strip_free_splits_every_top_class(seed):
+    m = _random_split_input(random.Random(seed))
+    red, ranks = strip_free(m)
+    cut = m.truncated_above
+    reach = [k for k in m.space.degrees if cut is None or k <= cut - 6]
+    assert ranks == {k: _top_rank(m, k) for k in reach if _top_rank(m, k)}
+    assert all(_top_rank(red, k) == 0 for k in reach)
+    if cut is None:
+        assert red.space.total_dim() + 8 * sum(ranks.values()) == \
+            m.space.total_dim()
+    # the retraction onto cell (k, i) sends w x_j to delta_ij w: its
+    # coefficient on the word u at y is phi_i(DUAL_WORD[u] y)
+    for k, (gens, phis) in structure._free_cells(m).items():
+        for w in WORDS:
+            for j, x in enumerate(gens):
+                d, y = apply_word(m, w, k, x)
+                for u in WORDS:
+                    if WORD_DEGREE[u] != WORD_DEGREE[w]:
+                        continue
+                    top = apply_word(m, DUAL_WORD[u], d, y)[1]
+                    for i, phi in enumerate(phis.data):
+                        assert dot(phi, top) == (i == j and u == w)
+
+
+def test_strip_free_builds_one_module(monkeypatch):
+    inputs = [(direct_sum(seagull(2), free_module(1)), 1),
+              (reduce(direct_sum, [seagull(2)] + [free_module(k % 3)
+                                                  for k in range(6)]), 1),
+              (seagull(2), 0)]
+    built = []
+    monkeypatch.setattr(structure, "module", lambda *a, **kw: (
+        built.append(1) or a1core.module(*a, **kw)))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("strip_free solved for a module map")
+    monkeypatch.setattr(a1core, "linear_map_from_generators", no_solve)
+    assert not hasattr(structure, "linear_map_from_generators")
+    for m, calls in inputs:
+        built.clear()
+        red, _ = strip_free(m)
+        assert len(built) == calls
+        assert (red is m) == (calls == 0)
+
+
+def test_strip_free_keeps_the_floor():
+    m = tensor(dualize(seagull_inf(20)), seagull(1))
+    assert m.space.total_dim() == 80
+    red, ranks = strip_free(m)
+    assert red.space.total_dim() == 8 and sum(ranks.values()) == 9
+    assert red.truncated_below == m.truncated_below == -15
+
+
+def test_classify_refuses_a_floor():
+    dual = dualize(seagull_inf(20))
+    for m in (dual, tensor(dual, seagull(1))):
+        for run in (classify, localize_q0):
+            with pytest.raises(TruncationTooTight,
+                               match=f"below degree {m.truncated_below}$"):
+                run(m)
+    with pytest.raises(TruncationTooTight, match="below degree -20$"):
+        davismahowald.lift_check(dual)
+    # the differential pairs the two Margolis classes of the seagull(1)
+    # factor inside the window, so the verdict comes before localization
+    assert davismahowald.lift_check(tensor(dual, seagull(1))).evidence == [
+        "nonzero differential: d5.0* -> d0.0*"]
 
 
 def test_classify_free_only():
