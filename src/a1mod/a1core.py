@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import RelationViolation, ShapeMismatch
-from .f2linalg import BitMatrix, Subspace, solve
+from .errors import RelationViolation, ShapeMismatch, TruncationTooTight
+from .f2linalg import BitMatrix, Subspace
 
 __all__ = [
     "WORDS", "WORD_DEGREE", "LMUL", "TOP_WORD", "DUAL_WORD",
@@ -386,8 +386,15 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
     Sq2(x (x) y) = Sq2 x (x) y + Sq1 x (x) Sq1 y + x (x) Sq2 y
 
     Basis order in each degree: source degrees of the left factor ascending,
-    then (left index, right index) lexicographic.
+    then (left index, right index) lexicographic.  Raises
+    ``TruncationTooTight`` when one factor is truncated above and the other
+    below: their missing degrees pair up in every degree of the product.
     """
+    for x, y in ((a, b), (b, a)):
+        if x.truncated_above is not None and y.truncated_below is not None:
+            raise TruncationTooTight(
+                f"tensor of a module truncated above {x.truncated_above} and "
+                f"one truncated below {y.truncated_below} has no complete degree")
     if a.lo is None or b.lo is None:
         return zero_module()
     # a degree is complete when every factor pair summing to it is
@@ -483,87 +490,39 @@ def linear_map_from_generators(source: A1Module, target: A1Module,
                                gens: List[Tuple[int, int]],
                                values: List[Tuple[int, int]],
                                shift: int = 0) -> GradedMap:
-    """The action-preserving degree-``shift`` map with prescribed generator
-    values, found by linear solve.
+    """The action-preserving degree-``shift`` map sending each generator to
+    its prescribed value.
 
     ``gens`` are (degree, vector) in the source; ``values`` the matching
-    (degree, vector) in the target (degree must be gen degree + shift).
-    Raises if no such map exists; if the generators generate the source the
-    solution is unique.
+    (degree, vector) in the target (degree must be gen degree + shift).  The
+    generators must generate the source: then the map is fixed by
+    w g_i -> w v_i over the words w (Margolis, 1983), so in degree k it is
+    V_k S_k^+, where S_k holds the columns w g_i and V_k the columns w v_i.
+    It exists exactly when ker S_k lies in ker V_k.  Both conditions are read
+    off one elimination of the pairs (w g_i, w v_i), whose span is the graph
+    of the map.  Raises ``ShapeMismatch`` when either fails.
     """
-    degs = source.space.degrees
-    # unknowns: entries of the matrix at each source degree
-    offsets: Dict[int, int] = {}
-    n_unknown = 0
-    for k in degs:
-        offsets[k] = n_unknown
-        n_unknown += source.dim(k) * target.dim(k + shift)
-
-    def entry(k: int, row: int, col: int) -> int:
-        return offsets[k] + row * source.dim(k) + col
-
-    eq_rows: List[int] = []
-    eq_rhs: List[int] = []
-
-    def add_equation(coeffs: List[int], rhs: int) -> None:
-        r = 0
-        for c in coeffs:
-            r ^= 1 << c
-        eq_rows.append(r)
-        eq_rhs.append(rhs)
-
-    # commute with sq1 and sq2 wherever both sides are defined
-    for sq_shift, s_map, t_map in ((1, source.sq1, target.sq1),
-                                   (2, source.sq2, target.sq2)):
-        for k in degs:
-            tk = k + shift
-            out_deg = k + sq_shift
-            if source.dim(k) == 0:
-                continue
-            rows_out = target.dim(out_deg + shift)
-            if rows_out == 0 and source.dim(out_deg) == 0:
-                continue
-            if not (target.degree_present(out_deg + shift)
-                    and source.degree_present(out_deg)):
-                continue
-            smat = s_map.mat(k)          # source k -> source k+ss
-            tmat = t_map.mat(tk)         # target tk -> target tk+ss
-            for r in range(rows_out):
-                for c in range(source.dim(k)):
-                    coeffs = []
-                    # (F o sq)_rc = sum_j F[out_deg]_{r j} smat_{j c}
-                    for j in range(source.dim(out_deg)):
-                        if smat.get(j, c):
-                            coeffs.append(entry(out_deg, r, j))
-                    # (sq o F)_rc = sum_j tmat_{r j} F[k]_{j c}
-                    for j in range(target.dim(tk)):
-                        if tmat.get(r, j):
-                            coeffs.append(entry(k, j, c))
-                    add_equation(coeffs, 0)
-
-    # generator values
+    pairs: Dict[int, List[int]] = {}  # degree -> w g_i | w v_i << dim
     for (gk, gv), (vk, vv) in zip(gens, values):
         if vk != gk + shift:
             raise ShapeMismatch("generator value in the wrong degree")
-        for r in range(target.dim(vk)):
-            coeffs = []
-            for c in range(source.dim(gk)):
-                if (gv >> c) & 1:
-                    coeffs.append(entry(gk, r, c))
-            add_equation(coeffs, (vv >> r) & 1)
-
-    a = BitMatrix(len(eq_rows), n_unknown, tuple(eq_rows))
-    b = 0
-    for i, bit in enumerate(eq_rhs):
-        b |= bit << i
-    x = solve(a, b)
-    if x is None:
-        raise ShapeMismatch("no action-preserving map with the given values")
-
-    # row r of the matrix at degree k is a run of dim(k) bits of x
-    mats = {k: BitMatrix(target.dim(k + shift), source.dim(k), tuple(
-        (x >> entry(k, r, 0)) & ((1 << source.dim(k)) - 1)
-        for r in range(target.dim(k + shift)))) for k in degs}
+        for w in WORDS:
+            k, s = apply_word(source, w, gk, gv)
+            _, v = apply_word(target, w, vk, vv)
+            if s or v:
+                pairs.setdefault(k, []).append(s | v << source.dim(k))
+    mats = {}
+    for k in sorted(set(pairs) | set(source.space.degrees)):
+        n = source.dim(k)
+        graph = Subspace.span(pairs.get(k, ()), n + target.dim(k + shift)).basis
+        if any(r & ((1 << n) - 1) == 0 for r in graph):
+            raise ShapeMismatch("no action-preserving map with the given values")
+        if len(graph) < n:
+            raise ShapeMismatch(f"the generators do not generate the source in "
+                                f"degree {k}")
+        if n:  # the reduced graph has pivots 0..n-1: row i is e_i | F e_i << n
+            mats[k] = BitMatrix.from_columns(target.dim(k + shift),
+                                             [r >> n for r in graph])
     return GradedMap(source.space, target.space, shift, mats)
 
 

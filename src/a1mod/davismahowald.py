@@ -13,7 +13,7 @@ from .a1core import (A1Module, GradedMap, apply_word, dualize, f2,
                      free_module_on, linear_map_from_generators,
                      module_from_edges, tensor)
 from .errors import ShapeMismatch
-from .f2linalg import BitMatrix, Subspace, image, kernel, solve
+from .f2linalg import BitMatrix, Subspace, complement, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
 from .structure import _word_matrix, default_cutoff, localize_q0, seagull
 
@@ -263,7 +263,7 @@ def build_injective(max_s: int) -> List[InjectiveStage]:
                         acc ^= v
                 gsrcs.append(gv)
                 gvals.append((k, acc))
-            # source is free, so the map extends freely; solve for it
+            # the source is free, so the generator values fix the map
             fmap = linear_map_from_generators(prev.module, mod, gsrcs, gvals,
                                               shift=0)
         stages.append(InjectiveStage(s, mod, gens, fmap, r_vec, t_vec))
@@ -497,53 +497,50 @@ class Sq4Result:
 def sq4_solver(m: A1Module) -> Sq4Result:
     """Look for degreewise maps S: M_k -> M_{k+4} with
 
-        Sq1 S + S Sq1 = Sq2 Sq1 Sq2
+        Sq1 S + S Sq1 = Sq2 Sq1 Sq2 = W
 
-    across every degree whose target is reliable.  Infeasibility certifies
-    that no lift exists."""
+    across every degree k with k + 5 at or below the truncation cutoff.
+    Infeasibility certifies that no lift exists.
+
+    W commutes with Sq1, so it is a chain map of degree 5 on the complex
+    (M, Sq1), and S is a null-homotopy of it.  Over a field one exists
+    exactly when W is zero on homology, here Q0-homology (Weibel, An
+    Introduction to Homological Algebra, 1994, ch. 1): W must send the
+    cycles of degree k into the boundaries of degree k + 5.  Split each
+    degree j as boundaries + homology representatives R_j + a complement U_j
+    of the cycles; h inverts Sq1 from U_{j-1} onto the boundaries (zero on
+    R_j and U_j) and pi projects onto R_j.  Then S = W h + h W pi.
+    """
     degs = m.space.degrees
-    offsets: Dict[int, int] = {}
-    n = 0
+    span = range(degs[0] - 1, degs[-1] + 6) if degs else range(0)
+    cycles = {j: kernel(m.sq1.mat(j)) for j in span}
+    bounds = {j: image(m.sq1.mat(j - 1)) for j in span}
+    rest = {j: complement(cycles[j], Subspace.full(m.dim(j))) for j in span}
+    wing = {j: _word_matrix(m, "Sq2Sq1Sq2", j) for j in span}
+    cut = m.truncated_above
     for k in degs:
-        if m.dim(k + 4):
-            offsets[k] = n
-            n += m.dim(k) * m.dim(k + 4)
+        if (cut is None or k + 5 <= cut) and not all(
+                bounds[k + 5].contains(wing[k].apply(z)) for z in cycles[k].basis):
+            return Sq4Result(False, None)
 
-    def entry(k: int, r: int, c: int) -> int:
-        return offsets[k] + r * m.dim(k) + c
+    def contraction(j: int) -> Tuple[BitMatrix, BitMatrix]:
+        """h: M_j -> M_{j-1} and pi: M_j -> M_j, read off the coordinates
+        in the basis Sq1 U_{j-1}, R_j, U_j of M_j."""
+        n, lifts = m.dim(j), rest[j - 1]
+        reps = complement(bounds[j], cycles[j])
+        basis = BitMatrix.from_columns(
+            n, [m.sq1.apply(j - 1, u) for u in lifts] + reps + rest[j])
+        coords = BitMatrix.from_columns(  # the inverse of basis
+            n, [solve(basis, 1 << c) for c in range(n)]).data
+        nb, nr = len(lifts), len(reps)
+        h = BitMatrix.from_columns(m.dim(j - 1), lifts).mul(
+            BitMatrix(nb, n, coords[:nb]))
+        pi = BitMatrix.from_columns(n, reps).mul(
+            BitMatrix(nr, n, coords[nb:nb + nr]))
+        return h, pi
 
-    wing = {k: _word_matrix(m, "Sq2Sq1Sq2", k) for k in degs}
-    rows: List[int] = []
-    rhs_bits: List[int] = []
-    for k in degs:
-        if m.truncated_above is not None and k + 5 > m.truncated_above:
-            continue
-        if m.dim(k + 5) == 0:
-            continue
-        sq1_hi = m.sq1.mat(k + 4)
-        sq1_lo = m.sq1.mat(k)
-        for r in range(m.dim(k + 5)):
-            for c in range(m.dim(k)):
-                bits = 0
-                if k in offsets:
-                    for j in range(m.dim(k + 4)):
-                        if sq1_hi.get(r, j):
-                            bits ^= 1 << entry(k, j, c)
-                if (k + 1) in offsets:
-                    for j in range(m.dim(k + 1)):
-                        if sq1_lo.get(j, c):
-                            bits ^= 1 << entry(k + 1, r, j)
-                rows.append(bits)
-                rhs_bits.append(wing[k].get(r, c))
-    a = BitMatrix(len(rows), n, tuple(rows))
-    b = 0
-    for i, bit in enumerate(rhs_bits):
-        b |= bit << i
-    x = solve(a, b)
-    if x is None:
-        return Sq4Result(False, None)
-    # row r of the matrix at degree k is a run of dim(k) bits of x
-    mats = {k: BitMatrix(m.dim(k + 4), m.dim(k), tuple(
-        (x >> entry(k, r, 0)) & ((1 << m.dim(k)) - 1) for r in range(m.dim(k + 4))))
-        for k in offsets}
-    return Sq4Result(True, mats)
+    hpi = {j: contraction(j) for j in span[1:]}
+    return Sq4Result(True, {
+        k: wing[k - 1].mul(hpi[k][0]).add(
+            hpi[k + 5][0].mul(wing[k]).mul(hpi[k][1]))
+        for k in degs if m.dim(k + 4)})

@@ -10,9 +10,10 @@ from a1mod.a1core import (DUAL_WORD, LMUL, TOP_WORD, WORD_DEGREE, WORDS,
                           free_module_on, linear_map_from_generators, module,
                           module_from_edges, submodule_closure, suspend, tensor,
                           truncate, validate)
-from a1mod.errors import RelationViolation, ShapeMismatch
-from a1mod.f2linalg import BitMatrix, Subspace
+from a1mod.errors import RelationViolation, ShapeMismatch, TruncationTooTight
+from a1mod.f2linalg import BitMatrix, Subspace, rank
 from a1mod.margolis import margolis_homology
+from solver_reference import linear_map_reference
 
 
 def test_word_degrees():
@@ -183,26 +184,36 @@ def test_tensor_dims_convolve():
 
 
 def test_tensor_cartan_symmetry():
-    # dim-level symmetry of the two tensor orders
+    # the label swap x (x) y -> y (x) x is a bijection in every degree that
+    # commutes with Sq1 and Sq2
     a, b = structure.seagull(1), suspend(structure.seagull(2), 2)
     t1, t2 = tensor(a, b), tensor(b, a)
-    for k in range(0, 25):
-        assert t1.space.dim(k) == t2.space.dim(k)
-    # the swap map is an isomorphism of modules
-    gens = [(0, 1)]
-    maps = linear_map_from_generators(
-        t1, t2, gens, [(0, _swap_vector(t1, t2, 0, 1))], 0)
-    assert maps is not None
+    assert t1.space.degrees == t2.space.degrees
+    swap = {k: _swap_matrix(t1, t2, k) for k in t1.space.degrees}
+    for k, p in swap.items():
+        assert p.rows == p.cols == t1.dim(k) and rank(p) == p.rows
+        for step, g1, g2 in ((1, t1.sq1, t2.sq1), (2, t1.sq2, t2.sq2)):
+            if k + step in swap:
+                assert swap[k + step].mul(g1.mat(k)) == g2.mat(k).mul(p)
 
 
-def _swap_vector(t1, t2, k, v):
-    out = 0
-    for i in range(t1.space.dim(k)):
-        if (v >> i) & 1:
-            la = t1.space.labels[k][i]
-            left, right = la.split("(x)")
-            out ^= 1 << t2.space.labels[k].index(f"{right}(x){left}")
-    return out
+def _swap_matrix(t1, t2, k):
+    cols = []
+    for la in t1.space.labels[k]:
+        left, right = la.split("(x)")
+        cols.append(1 << t2.space.labels[k].index(f"{right}(x){left}"))
+    return BitMatrix.from_columns(t2.dim(k), cols)
+
+
+def test_tensor_refuses_opposite_truncations():
+    # one factor truncated above, the other below: no degree is complete
+    a, b = structure.seagull_inf(14), dualize(structure.seagull_inf(8))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(TruncationTooTight):
+            tensor(x, y)
+    # either truncation alone still gives a window
+    assert tensor(a, structure.seagull(1)).truncated_above == 14
+    assert tensor(b, structure.seagull(1)).truncated_below == -3
 
 
 def test_dualize_roundtrip():
@@ -227,15 +238,38 @@ def test_linear_map_from_generators_identity():
 
 
 def test_linear_map_infeasible():
-    # no module map sends the bottom of a seagull to the bottom of F2 shifted
-    # wrongly
     m = structure.seagull(1)
-    assert linear_map_from_generators(m, f2(), [(0, 1)], [(0, 1)], 0) is not None
-    tgt = suspend(f2(), 2)
-    with pytest.raises(Exception):
-        # no module map can send the middle class of a seagull to a class
-        # not hit by Sq2
-        linear_map_from_generators(m, tgt, [(2, 1)], [(2, 1)], 0)
+    aug = linear_map_from_generators(m, f2(), [(0, 1)], [(0, 1)], 0)
+    assert [k for k in m.space.degrees if not aug.mat(k).is_zero()] == [0]
+    # no module map can send the middle class of a seagull to a class not
+    # hit by Sq2: the middle class does not generate the seagull
+    with pytest.raises(ShapeMismatch, match="do not generate"):
+        linear_map_from_generators(m, suspend(f2(), 2), [(2, 1)], [(2, 1)], 0)
+    # Sq1 kills the class of F2 but not the generator of A(1)
+    with pytest.raises(ShapeMismatch, match="no action-preserving map"):
+        linear_map_from_generators(f2(), free_module(), [(0, 1)], [(0, 1)], 0)
+    with pytest.raises(ShapeMismatch, match="wrong degree"):
+        linear_map_from_generators(m, f2(), [(0, 1)], [(1, 1)], 0)
+
+
+def test_linear_map_matches_the_reference_solve():
+    # maps out of a free module and out of a seagull onto random targets
+    rng = random.Random(11)
+    for _ in range(20):
+        src, gens = rng.choice([(free_module_on([("x", 0), ("y", 2)]),
+                                 [(0, 1), (2, 0b10)]),
+                                (structure.seagull(2), [(0, 1), (4, 1)])])
+        tgt = rng.choice([free_module_on([("a", 0), ("b", 1)]),
+                          direct_sum(structure.seagull(1), f2(2))])
+        values = [(k, rng.getrandbits(tgt.dim(k))) for k, _ in gens]
+        try:
+            want = linear_map_reference(src, tgt, gens, values)
+        except ShapeMismatch:
+            with pytest.raises(ShapeMismatch):
+                linear_map_from_generators(src, tgt, gens, values)
+            continue
+        got = linear_map_from_generators(src, tgt, gens, values)
+        assert all(got.mat(k) == want.mat(k) for k in src.space.degrees)
 
 
 def test_submodule_closure():

@@ -169,6 +169,17 @@ def test_floor_refused_exit_1(capsys, tmp_path):
         assert json.loads(err)["error"].endswith("truncated below degree -20")
 
 
+def test_tensor_of_opposite_truncations_exit_1(capsys, tmp_path):
+    sinf, dual = tmp_path / "sinf.mod", tmp_path / "dual.mod"
+    record(capsys, "seagull", "--infinite", "--cutoff", "14", "-o", str(sinf))
+    record(capsys, "seagull", "--infinite", "--cutoff", "8", "-o", str(dual))
+    record(capsys, "dual", str(dual), "-o", str(dual))
+    for pair in ((sinf, dual), (dual, sinf)):
+        code, out, err = run(capsys, "tensor", *map(str, pair))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].endswith("has no complete degree")
+
+
 def test_usage_error_exit_2(s1):
     with pytest.raises(SystemExit) as exc:
         main(["margolis", s1])          # --operator is required

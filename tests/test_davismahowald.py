@@ -1,6 +1,10 @@
 import random
+import sys
 
-from a1mod import a1core, davismahowald, margolis, structure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from a1mod import a1core, davismahowald, f2linalg, margolis, structure
 from a1mod.a1core import (apply_word, direct_sum, f2, free_module, suspend,
                           tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
@@ -8,8 +12,10 @@ from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
                                  d2, e1_page, e3_page, lift_check,
                                  localized_ext, seagull_localized_ext,
                                  sq4_solver)
-from a1mod.f2linalg import Subspace
+from a1mod.f2linalg import BitMatrix, Subspace
 from a1mod.margolis import margolis_homology
+from random_modules import random_module
+from solver_reference import linear_map_reference, sq4_reference
 
 
 def test_n_sigma_validates():
@@ -161,23 +167,93 @@ def test_sq4_solver():
     assert not sq4_solver(structure.seagull(1)).feasible
     assert sq4_solver(structure.seagull(2)).feasible
     assert sq4_solver(f2()).feasible
+    # only degrees k with k + 5 at or below the cutoff constrain S: cut below
+    # its top class, seagull(1) carries one
+    s1 = structure.seagull(1)
+    cut = a1core.module(s1.space.labels, s1.sq1.mats, s1.sq2.mats,
+                        truncated_above=4)
+    assert sq4_solver(cut).feasible and sq4_reference(cut)
+
+
+def _assert_homotopy(m, res):
+    # Sq1 S + S Sq1 = Sq2Sq1Sq2 on every degree whose target is reliable
+    def s4(k):
+        return res.mats.get(k, BitMatrix.zeros(m.dim(k + 4), m.dim(k)))
+
+    for k in m.space.degrees:
+        if m.truncated_above is not None and k + 5 > m.truncated_above:
+            continue
+        lhs = m.sq1.mat(k + 4).mul(s4(k)).add(s4(k + 1).mul(m.sq1.mat(k)))
+        assert lhs == structure._word_matrix(m, "Sq2Sq1Sq2", k)
 
 
 def test_sq4_solution_satisfies_relation():
-    res = sq4_solver(structure.seagull(2))
     m = structure.seagull(2)
-    for k in m.space.degrees:
-        s4 = res.mats.get(k)
-        if s4 is None or not m.degree_present(k + 5):
-            continue
-        for i in range(m.space.dim(k)):
-            v = 1 << i
-            _, a = apply_word(m, "Sq1", k + 4, s4.apply(v))
-            s4n = res.mats.get(k + 1)
-            _, sv = apply_word(m, "Sq1", k, v)
-            b = s4n.apply(sv) if s4n is not None and sv else 0
-            _, c = apply_word(m, "Sq2Sq1Sq2", k, v)
-            assert a ^ b == c
+    _assert_homotopy(m, sq4_solver(m))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_sq4_solver_matches_the_reference_solve(seed):
+    # random-basis sums and tensors, with cutoffs, floors and truncations
+    m = random_module(random.Random(seed))
+    res = sq4_solver(m)
+    assert res.feasible == sq4_reference(m)
+    if res.feasible:
+        _assert_homotopy(m, res)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_sq4_feasible_exactly_when_d2_vanishes(seed):
+    # W is zero on Q0-homology exactly when its transpose is zero on the
+    # dual's Q0-homology
+    m = random_module(random.Random(seed), truncated=False)
+    assert sq4_solver(m).feasible == d2(m).is_zero()
+
+
+def test_dm_and_injective_maps_match_the_reference_solve(monkeypatch):
+    calls = []
+
+    def both(*args, **kwargs):
+        got = a1core.linear_map_from_generators(*args, **kwargs)
+        want = linear_map_reference(*args, **kwargs)
+        calls.append(all(got.mat(k) == want.mat(k)
+                         for k in got.source.degrees))
+        return got
+
+    monkeypatch.setattr(davismahowald, "linear_map_from_generators", both)
+    build_dm_complex(10)
+    build_injective(8)
+    assert len(calls) == 11 + 8 and all(calls)
+
+
+def test_no_solve_wider_than_two_degrees(monkeypatch):
+    # no system over the entries of a graded map: every solve has at most
+    # twice as many unknowns as the largest degree of the modules involved
+    widths, solve = [], f2linalg.solve
+
+    def counting(a, b):
+        widths.append(a.cols)
+        return solve(a, b)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("a1mod.") and \
+                getattr(mod, "solve", None) is solve:
+            monkeypatch.setattr(mod, "solve", counting)
+
+    def widest(modules):
+        return max(m.dim(k) for m in modules for k in m.space.degrees)
+
+    dm = widest([f2()] + [stage.module for stage in build_dm_complex(8)])
+    assert max(widths, default=0) <= 2 * dm
+    widths.clear()
+    inj = widest([stage.module for stage in build_injective(8)])
+    assert max(widths, default=0) <= 2 * inj
+    widths.clear()
+    m = tensor(structure.seagull(3), structure.seagull(3))
+    assert sq4_solver(m).feasible
+    assert widths and max(widths) <= 2 * widest([m])
 
 
 def test_tensor_functional_symmetry():

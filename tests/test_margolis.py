@@ -1,6 +1,12 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from a1mod import a1core, structure
 from a1mod.margolis import (a0_decompose, is_q0_local, margolis_homology,
                             q1_map)
+from random_modules import random_module
 
 
 def test_seagull_q0_homology():
@@ -43,6 +49,22 @@ def test_dual_side_mirrors():
     direct = margolis_homology(m, "Q0")
     dual = margolis_homology(m, "Q0", side="dual")
     assert sorted(-k for k in dual.nonzero_degrees()) == direct.nonzero_degrees()
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_dual_side_mirrors_on_random_modules(seed):
+    # random-basis sums and tensors, truncated above and below
+    m = random_module(random.Random(seed))
+    for op in ("Q0", "Q1"):
+        h = margolis_homology(m, op)
+        hd = margolis_homology(m, op, side="dual")
+        lo, hi = h.reliable
+        assert hd.reliable == (None if hi is None else -hi,
+                               None if lo is None else -lo)
+        for k in set(h.dims) | {-j for j in hd.dims}:
+            if h.in_range(k):
+                assert h.dims.get(k, 0) == hd.dims.get(-k, 0)
 
 
 def test_q1_squares_to_zero():

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, structure
-from a1mod.errors import ParseError
+from a1mod.errors import ParseError, TruncationTooTight
 from a1mod.margolis import margolis_homology
 from a1mod.modfile import parse, parse_module, serialize, to_module
+from random_modules import opposite_truncations
 
 EXAMPLE = """\
 # smallest seagull
@@ -122,8 +123,12 @@ def _transform(m, steps):
 def test_roundtrip_keeps_truncation_bounds(base, steps, factor, left, after):
     m = _transform(base, steps)
     if factor is not None:
-        m = _transform(a1core.tensor(m, factor) if left
-                       else a1core.tensor(factor, m), after)
+        x, y = (m, factor) if left else (factor, m)
+        if opposite_truncations(x, y):
+            with pytest.raises(TruncationTooTight):
+                a1core.tensor(x, y)
+            return
+        m = _transform(a1core.tensor(x, y), after)
     m2 = parse_module(serialize(m))
     assert (m2.truncated_above, m2.truncated_below) == \
         (m.truncated_above, m.truncated_below)
@@ -139,3 +144,50 @@ def test_roundtrip_random_seagulls(n, shift):
     m = structure.seagull(n, shift)
     text = serialize(m)
     assert serialize(parse_module(text)) == text
+
+
+VALID = [serialize(m) for m in (structure.seagull(2), a1core.free_module(1),
+                                a1core.dualize(structure.seagull_inf(14)))]
+TOKENS = [" ", "\n", "#", "=", "+", "-", "0", "7", "x", "gen ", "sq1 ", "sq2 ",
+          "module m", "truncated_above ", "truncated_below "]
+EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "swap", "copy"]),
+                           st.integers(0, 10**4), st.sampled_from(TOKENS)),
+                 min_size=1, max_size=5)
+
+
+def _mutate(text, edits):
+    for kind, pos, token in edits:
+        i = pos % (len(text) + 1)
+        if kind == "insert":
+            text = text[:i] + token + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + len(token):]
+        else:  # swap or copy whole lines
+            lines = text.split("\n")
+            a, b = pos % len(lines), (pos // 7) % len(lines)
+            if kind == "swap":
+                lines[a], lines[b] = lines[b], lines[a]
+            else:
+                lines.insert(b, lines[a])
+            text = "\n".join(lines)
+    return text
+
+
+def _parse_or_parse_error(text):
+    # any exception other than ParseError fails the test
+    try:
+        parse_module(text)
+    except ParseError:
+        pass
+
+
+@given(st.text(max_size=120))
+@settings(max_examples=60, deadline=None)
+def test_parser_raises_only_parse_error_on_text(text):
+    _parse_or_parse_error(text)
+
+
+@given(st.sampled_from(VALID), EDITS)
+@settings(max_examples=60, deadline=None)
+def test_parser_raises_only_parse_error_on_mutations(text, edits):
+    _parse_or_parse_error(_mutate(text, edits))

@@ -9,11 +9,11 @@ from a1mod import a1core, davismahowald, structure
 from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, apply_word,
                           direct_sum, dualize, free_module, suspend, tensor)
 from a1mod.errors import IncomparableCutoffs, TruncationTooTight
-from a1mod.f2linalg import (BitMatrix, Subspace, dot, image, intersect, kernel,
-                            rank)
+from a1mod.f2linalg import Subspace, dot, image, intersect, kernel, rank
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
                              localize_q0, realize, seagull, seagull_inf,
                              stably_equivalent, strip_free)
+from random_modules import random_automorphism
 
 
 def test_seagull_dims():
@@ -61,7 +61,7 @@ def _top_rank(m, k):
 
 
 def test_word_matrix_matches_apply_word():
-    m = _random_automorphism(random.Random(3), direct_sum(
+    m = random_automorphism(random.Random(3), direct_sum(
         seagull(2), direct_sum(free_module(1), a1core.f2(2))))
     for w in WORDS:
         for k in range(-1, 8):
@@ -80,7 +80,7 @@ def _random_split_input(rng):
     parts += [a1core.f2(rng.randint(-3, 6)) for _ in range(rng.randint(0, 1))]
     if rng.random() < 0.3:
         parts.append(seagull_inf(rng.randint(12, 20), rng.randint(-2, 4)))
-    return _random_automorphism(rng, reduce(direct_sum, rng.sample(parts,
+    return random_automorphism(rng, reduce(direct_sum, rng.sample(parts,
                                                                    len(parts))))
 
 
@@ -180,41 +180,13 @@ def test_classify_realize_roundtrip():
         assert got == desc
 
 
-def _random_automorphism(rng, m):
-    """Conjugate the module structure by a random graded change of basis."""
-    mats, invs = {}, {}
-    for k in m.space.degrees:
-        n = m.space.dim(k)
-        while True:
-            cand = BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
-            from a1mod.f2linalg import rank, solve
-            if rank(cand) == n:
-                break
-        inv_cols = []
-        for j in range(n):
-            inv_cols.append(solve(cand, 1 << j))
-        inv = BitMatrix(n, n, tuple(
-            sum(((c >> i) & 1) << j for j, c in enumerate(inv_cols))
-            for i in range(n)))
-        mats[k], invs[k] = cand, inv
-    labels = {k: list(m.space.labels[k]) for k in m.space.degrees}
-    sq1, sq2 = {}, {}
-    for k in m.space.degrees:
-        if m.space.dim(k + 1):
-            sq1[k] = mats[k + 1].mul(m.sq1.mat(k)).mul(invs[k])
-        if m.space.dim(k + 2):
-            sq2[k] = mats[k + 2].mul(m.sq2.mat(k)).mul(invs[k])
-    return a1core.module(labels, sq1, sq2,
-                         truncated_above=m.truncated_above, name="twisted")
-
-
 def test_classify_basis_invariance():
     base = direct_sum(direct_sum(suspend(seagull(3), 2), seagull(1)),
                       free_module())
     want = classify(base).descriptor
     rng = random.Random(7)
     for _ in range(50):
-        twisted = _random_automorphism(rng, base)
+        twisted = random_automorphism(rng, base)
         assert classify(twisted).descriptor == want
 
 
