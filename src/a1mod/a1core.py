@@ -208,10 +208,6 @@ class A1Module:
             return False
         return True
 
-    def act(self, sq: str, k: int, v: int) -> int:
-        """``Sq1`` or ``Sq2`` applied to v in degree k."""
-        return (self.sq1 if sq == "Sq1" else self.sq2).apply(k, v)
-
 
 def module(labels: Dict[int, List[str]],
            sq1: Dict[int, BitMatrix],
@@ -288,13 +284,12 @@ def validate(m: A1Module) -> None:
 def apply_word(m: A1Module, word: str, k: int, v: int) -> Tuple[int, int]:
     """Apply a composite word (rightmost factor first) to v in degree k.
 
-    Works on anything with an ``act(sq, k, v)`` method.  Returns (degree,
-    vector).  Factors falling above a truncation cutoff yield the zero vector
-    in the nominal degree.
+    Returns (degree, vector).  Factors falling above a truncation cutoff
+    yield the zero vector in the nominal degree.
     """
     for i in range(len(word) - 3, -1, -3):  # rightmost factor first
         op = word[i:i + 3]
-        v = m.act(op, k, v)
+        v = (m.sq1 if op == "Sq1" else m.sq2).apply(k, v)
         k += 1 if op == "Sq1" else 2
     return k, v
 
@@ -379,6 +374,15 @@ def truncate(m: A1Module, cutoff: int) -> A1Module:
                   truncated_below=m.truncated_below, name=m.name)
 
 
+def _extent(m: A1Module) -> Tuple[Optional[int], Optional[int]]:
+    """The lowest and highest degree where m may have classes: an empty
+    module truncated above c may have them from c + 1 on, one truncated
+    below f up to f - 1."""
+    if m.lo is not None:
+        return m.lo, m.hi
+    return _shifted(m.truncated_above, 1), _shifted(m.truncated_below, -1)
+
+
 def tensor(a: A1Module, b: A1Module) -> A1Module:
     """Tensor product with the diagonal action.
 
@@ -395,13 +399,14 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
             raise TruncationTooTight(
                 f"tensor of a module truncated above {x.truncated_above} and "
                 f"one truncated below {y.truncated_below} has no complete degree")
-    if a.lo is None or b.lo is None:
+    (alo, ahi), (blo, bhi) = _extent(a), _extent(b)
+    if (None, None) in ((alo, ahi), (blo, bhi)):  # an exact zero factor
         return zero_module()
     # a degree is complete when every factor pair summing to it is
-    cut = _bound(_shifted(a.truncated_above, b.lo),
-                 _shifted(b.truncated_above, a.lo), min)
-    floor = _bound(_shifted(a.truncated_below, b.hi),
-                   _shifted(b.truncated_below, a.hi), max)
+    cut = _bound(_shifted(a.truncated_above, blo),
+                 _shifted(b.truncated_above, alo), min)
+    floor = _bound(_shifted(a.truncated_below, bhi),
+                   _shifted(b.truncated_below, ahi), max)
 
     # index[(p, i, q, j)] -> position in degree p+q
     labels: Dict[int, List[str]] = {}

@@ -208,14 +208,6 @@ class Subspace:
                 v ^= b
         return v == 0
 
-    def reduce(self, v: int) -> int:
-        """Canonical coset representative of v modulo this subspace."""
-        for b in self.basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        return v
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ShapeMismatch("sum of subspaces of different ambient spaces")

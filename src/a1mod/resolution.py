@@ -6,78 +6,28 @@ along fixed stems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
-from .a1core import LMUL, WORD_DEGREE, WORDS, A1Module, apply_word
+from .a1core import WORD_DEGREE, WORDS, A1Module, _times, apply_word
 from .errors import NotStabilized, TruncationTooTight
-from .f2linalg import BitMatrix, Subspace, complement, kernel
 
 __all__ = [
     "ResolutionStage", "ExtChart",
     "minimal_resolution", "ext_dims", "h0_tower_count", "h0_tower_counts",
 ]
 
-A0_WORDS: Tuple[str, ...] = ("1", "Sq1")
-A0_LMUL = {"Sq1": {"1": "Sq1", "Sq1": None}}
-
-_ALGEBRAS = {
-    "a0": (A0_WORDS, A0_LMUL),
-    "a1": (WORDS, LMUL),
-}
-
-
-@dataclass
-class _FreeModule:
-    """A free module on homogeneous generators, with an explicit monomial
-    basis (generator index, word) per degree, cut off above ``max_t``.
-
-    Unlike ``a1core.free_module_on`` it is neither validated nor built in
-    degrees the resolution never reads, which keeps each stage cheap."""
-
-    words: Tuple[str, ...]
-    lmul: Dict[str, Dict[str, Optional[str]]]
-    gens: List[int]                     # generator degrees
-    max_t: int
-
-    def __post_init__(self):
-        self.basis: Dict[int, List[Tuple[int, str]]] = {}
-        self.index: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        for gi, gd in enumerate(self.gens):
-            for w in self.words:
-                d = gd + WORD_DEGREE[w]
-                if d > self.max_t:
-                    continue
-                self.basis.setdefault(d, [])
-                self.index[(gi, w)] = (d, len(self.basis[d]))
-                self.basis[d].append((gi, w))
-
-    def dim(self, k: int) -> int:
-        return len(self.basis.get(k, ()))
-
-    def degrees(self) -> List[int]:
-        return sorted(self.basis)
-
-    def act(self, sq: str, k: int, v: int) -> int:
-        """Left multiplication by a generator of the algebra."""
-        out = 0
-        table = self.lmul[sq]
-        for i, (gi, w) in enumerate(self.basis.get(k, ())):
-            if not (v >> i) & 1:
-                continue
-            tgt = table[w]
-            if tgt is None:
-                continue
-            pos = self.index.get((gi, tgt))
-            if pos is not None:
-                out ^= 1 << pos[1]
-        return out
+# The exterior algebra on Sq1 is spanned by the first two words of A(1), and
+# its products are those of A(1).
+_ALGEBRAS = {"a0": WORDS[:2], "a1": WORDS}
 
 
 @dataclass
 class ResolutionStage:
     s: int
     gens: List[int]                       # generator degrees, ascending
-    free: _FreeModule
+    # the free module's cells (generator index, word) in each degree up to
+    # max_t, generators of the degree last
+    basis: Dict[int, List[Tuple[int, str]]]
     # differential: value of each generator in the previous stage (or the
     # module itself at s = 0), as (degree, vector)
     d_values: List[Tuple[int, int]]
@@ -95,71 +45,89 @@ class ExtChart:
         return self.dims.get((s, t), 0)
 
 
-def _differential_matrix(free: _FreeModule,
-                         target: Union[A1Module, _FreeModule],
-                         d_values: List[Tuple[int, int]], k: int) -> BitMatrix:
-    """Matrix of the stage differential in degree k: F_k -> target_k."""
-    return BitMatrix.from_columns(
-        target.dim(k), [apply_word(target, w, *d_values[gi])[1]
-                        for gi, w in free.basis.get(k, ())])
+def _insert(pivots: Dict[int, int], row: int, mask: int) -> int:
+    """Reduce ``row`` on the bits of ``mask`` by the pivot rows, each keyed
+    by its lowest bit; a row left nonzero there becomes a pivot."""
+    while row & mask:
+        low = row & -row
+        if low not in pivots:
+            pivots[low] = row
+            break
+        row ^= pivots[low]
+    return row
 
 
 def minimal_resolution(m: A1Module, algebra: str = "a1",
                        max_s: int = 10, max_t: int = 20) -> List[ResolutionStage]:
     """Minimal resolution by free modules, reliable for internal degrees up
-    to ``max_t``.  Generator counts give the dimensions of Ext groups."""
+    to ``max_t``.  Generator counts give the dimensions of Ext groups.
+
+    Each stage is built degree by degree.  In degree t its cells w g
+    (|w| > 0, g below t) map to w d(g): ``apply_word`` on the module at
+    s = 0, the product w (g', u) = (g', w u) in the previous stage after.
+    One elimination takes each cell's image with the cell's bit above the
+    target's n bits.  Each vector the stage must cover (the module, then
+    the previous kernel) that it does not reduce to zero becomes a new
+    generator.  The cells' rows that it reduces to zero span the kernel in
+    degree t, since the generators' values are independent modulo the image
+    of the cells.
+    """
     if algebra not in _ALGEBRAS:
         raise ValueError(f"unknown algebra {algebra!r}")
     if m.truncated_above is not None and m.truncated_above < max_t:
         raise TruncationTooTight(
             f"resolving through degree {max_t} needs the module beyond its "
             f"cutoff {m.truncated_above}")
-    words, lmul = _ALGEBRAS[algebra]
-
+    words = _ALGEBRAS[algebra]
+    lo = max_t + 1 if m.lo is None else m.lo
+    # everything in degrees <= max_t is determined by degrees <= max_t
+    cover = {k: [1 << i for i in range(m.dim(k))] for k in m.space.degrees}
     stages: List[ResolutionStage] = []
-    target: Union[A1Module, _FreeModule] = m
-    # current kernel (for s = 0: the whole module), degreewise; everything in
-    # degrees <= max_t is determined by degrees <= max_t, so cap there.
-    current: Dict[int, Subspace] = {k: Subspace.full(m.dim(k))
-                                    for k in m.space.degrees if k <= max_t}
-
     for s in range(max_s + 1):
-        # minimal generators: degree by degree, complement of the action image
-        gens: List[int] = []
-        d_values: List[Tuple[int, int]] = []
-        degs = sorted(current)
-        for k in degs:
-            if k > max_t:
-                continue
-            cur = current[k]
-            if cur.dim == 0:
-                continue
-            decomposable: List[int] = []
-            for sq, step in (("Sq1", 1), ("Sq2", 2)):
-                if sq == "Sq2" and algebra == "a0":
-                    continue
-                below = current.get(k - step)
-                if below is None:
-                    continue
-                for b in below.basis:
-                    v = target.act(sq, k - step, b)
-                    if v:
-                        decomposable.append(v)
-            dec = Subspace.span(decomposable, target.dim(k))
-            for g in complement(dec, cur):
-                gens.append(k)
-                d_values.append((k, g))
-        free = _FreeModule(words, lmul, gens, max_t)
-        stages.append(ResolutionStage(s, gens, free, d_values))
-        if s == max_s:
-            break
-        # kernel of the differential, degreewise, becomes the next target
-        nxt: Dict[int, Subspace] = {}
-        for k in free.degrees():
-            mat = _differential_matrix(free, target, d_values, k)
-            nxt[k] = kernel(mat)
-        target = free
-        current = nxt
+        prev = stages[-1] if stages else None
+        if prev is not None:
+            index = {k: {c: i for i, c in enumerate(cells)}
+                     for k, cells in prev.basis.items()}
+
+        def column(w: str, k: int, v: int) -> int:
+            if prev is None:
+                return apply_word(m, w, k, v)[1]
+            out = 0
+            while v:
+                low = v & -v
+                g, u = prev.basis[k][low.bit_length() - 1]
+                wu = _times(w, u)
+                if wu is not None:
+                    out ^= 1 << index[k + WORD_DEGREE[w]][(g, wu)]
+                v ^= low
+            return out
+
+        stage = ResolutionStage(s, [], {}, [])
+        kernel: Dict[int, List[int]] = {}
+        decomposable: Dict[int, List[Tuple[int, str]]] = {}  # the cells w g
+        for t in range(lo, max_t + 1):
+            cells = decomposable.pop(t, [])
+            n = m.dim(t) if prev is None else len(prev.basis.get(t, ()))
+            mask = (1 << n) - 1
+            pivots: Dict[int, int] = {}
+            for j, (gi, w) in enumerate(cells):
+                row = column(w, *stage.d_values[gi]) | 1 << (n + j)
+                row = _insert(pivots, row, mask)
+                if not row & mask:
+                    kernel.setdefault(t, []).append(row >> n)
+            for v in cover.get(t, ()):
+                if _insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
+                    gi = len(stage.gens)
+                    for w in words[1:]:
+                        decomposable.setdefault(t + WORD_DEGREE[w], []).append(
+                            (gi, w))
+                    cells.append((gi, "1"))
+                    stage.gens.append(t)
+                    stage.d_values.append((t, v))
+            if cells:
+                stage.basis[t] = cells
+        stages.append(stage)
+        cover = kernel
     return stages
 
 

@@ -288,6 +288,16 @@ def test_tensor_keeps_truncated_below():
     q0 = margolis_homology(t, "Q0")
     assert [k for k in q0.nonzero_degrees() if q0.in_range(k)] == [0]
     assert tensor(f2(), d).truncated_below == -20
+    # an empty factor keeps its bound: nothing above -1 of the first is known
+    empty = truncate(structure.seagull(2), -1)
+    assert empty.lo is None
+    assert tensor(empty, f2()).truncated_above == -1
+    assert tensor(f2(3), empty).truncated_above == 2
+    assert tensor(dualize(empty), f2(2)).truncated_below == 3
+    # an empty factor without truncation gives the exact zero module
+    exact = tensor(a1core.zero_module(), structure.seagull(2))
+    assert (exact.lo, exact.truncated_above, exact.truncated_below) == \
+        (None, None, None)
 
 
 def test_tensor_truncated_below_kunneth():

@@ -1,9 +1,16 @@
-import pytest
+import random
 
-from a1mod import a1core, structure
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from a1mod import a1core, f2linalg, structure
+from a1mod.a1core import _times, apply_word, direct_sum, suspend, tensor
+from a1mod.davismahowald import localized_ext
 from a1mod.errors import NotStabilized, TruncationTooTight
 from a1mod.resolution import (ext_dims, h0_tower_count, h0_tower_counts,
                               minimal_resolution)
+from random_modules import random_automorphism, random_module
 
 
 def test_a0_ext_of_f2_is_diagonal():
@@ -27,10 +34,42 @@ def test_free_module_resolution_stops():
     assert got == {(0, 0): 1}
 
 
+def _differential(m, stages, s, k, v):
+    """d_s of the vector v in degree k of stage s, as a vector of stage
+    s - 1 (of m at s = 0), from the stages' cells and generator values."""
+    out = 0
+    for i, (g, w) in enumerate(stages[s].basis[k]):
+        if not v >> i & 1:
+            continue
+        gk, gv = stages[s].d_values[g]
+        if s == 0:
+            out ^= apply_word(m, w, gk, gv)[1]
+            continue
+        below = stages[s - 1].basis
+        for j, (h, u) in enumerate(below[gk]):
+            wu = _times(w, u)
+            if gv >> j & 1 and wu is not None:
+                out ^= 1 << below[k].index((h, wu))
+    return out
+
+
 def test_minimal_resolution_is_complex():
-    stages = minimal_resolution(a1core.f2(), max_s=5, max_t=12)
-    assert [st.s for st in stages] == list(range(6))
-    assert stages[0].gens == [0]
+    cases = [a1core.f2(), structure.seagull(2),
+             tensor(structure.seagull(1), structure.seagull(1)),
+             suspend(direct_sum(a1core.f2(), a1core.free_module()), -3)]
+    for m in cases:
+        for algebra in ("a0", "a1"):
+            stages = minimal_resolution(m, algebra, max_s=5, max_t=m.lo + 12)
+            assert [st.s for st in stages] == list(range(6))
+            assert stages[0].gens[0] == m.lo
+            for s in range(1, 6):
+                below = stages[s - 1].basis
+                for k, v in stages[s].d_values:
+                    assert v
+                    assert _differential(m, stages, s - 1, k, v) == 0
+                    # minimal: no component on a generator of the stage below
+                    assert not any(v >> i & 1 and w == "1"
+                                   for i, (_, w) in enumerate(below[k]))
 
 
 def test_truncated_input_rejected():
@@ -59,3 +98,54 @@ def test_tower_count_single_stem():
 def test_free_module_has_no_towers():
     counts = h0_tower_counts(a1core.free_module(), 4)
     assert not any(counts.values())
+
+
+def _nonzero(chart):
+    return {k: d for k, d in chart.dims.items() if d}
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_ext_is_invariant_under_change_of_basis(seed):
+    rng = random.Random(seed)
+    m = random_module(rng, truncated=False)
+    twisted = random_automorphism(rng, m)
+    for algebra in ("a0", "a1"):
+        assert _nonzero(ext_dims(m, algebra, 10, m.lo + 20)) == \
+            _nonzero(ext_dims(twisted, algebra, 10, m.lo + 20))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_ext_is_additive_over_direct_sums(seed):
+    rng = random.Random(seed)
+    a, b = random_module(rng, truncated=False), random_module(rng, truncated=False)
+    max_t = min(a.lo, b.lo) + 20
+    for algebra in ("a0", "a1"):
+        want = ext_dims(a, algebra, 10, max_t).dims
+        for key, d in ext_dims(b, algebra, 10, max_t).dims.items():
+            want[key] = want.get(key, 0) + d
+        got = ext_dims(direct_sum(a, b), algebra, 10, max_t)
+        assert _nonzero(got) == {k: d for k, d in want.items() if d}
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_resolution_towers_match_localization_on_random_modules(seed):
+    # random modules have negative shifts, so the stems start below 0
+    m = random_module(random.Random(seed), truncated=False)
+    towers = {k: v for k, v in h0_tower_counts(m, 8).items() if v}
+    assert towers == localized_ext(m, 8).stems
+
+
+def test_resolution_needs_no_general_elimination(monkeypatch):
+    cases = [(ext_dims, structure.seagull(3), "a1", 12, 40),
+             (ext_dims, a1core.f2(), "a0", 20, 20),
+             (h0_tower_counts, a1core.f2(), 12)]
+
+    def refuse(rows, cols):
+        raise AssertionError("the resolution called _eliminate")
+
+    monkeypatch.setattr(f2linalg, "_eliminate", refuse)
+    for fn, *args in cases:
+        fn(*args)
