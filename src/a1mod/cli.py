@@ -239,6 +239,8 @@ def _cmd_seagull(args):
     else:
         if args.n is None:
             raise ParseError(0, "need --n or --infinite")
+        if args.n < 1:
+            raise ParseError(0, f"--n must be at least 1, got {args.n}")
         m = structure.seagull(args.n, args.shift)
         name = f"seagull_{args.n}"
     if args.shift:

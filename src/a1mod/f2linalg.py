@@ -3,20 +3,33 @@
 A vector in F_2^n is an int whose bit i is coordinate i.  A matrix is an
 immutable ``BitMatrix`` whose rows are such ints.  All routines are exact;
 there is no floating point anywhere.
+
+Every elimination goes through one pivot table: a dict holding each row
+under its lowest set bit (Bruner, "Calculation of large Ext modules",
+1989).  ``insert`` reduces a new row by the table until its lowest bit is
+free and files it there; a row that reduces to zero lies in the span of
+the rows inserted before it.  Bits above a ``mask`` are tracked rather than
+eliminated: inserting ``v | t << n`` with the mask on the low n bits carries
+the tag t through every reduction, so a row that reduces to zero on the
+mask names in its tracked bits the combination that vanished.  ``solve``,
+``intersect`` and the minimal resolution read their answers off such tags.
+``canonical`` clears each pivot bit from every other row of the table.
+Sorted by pivot, these rows are the reduced echelon basis with lowest-bit
+pivots, which depends only on the span: equal subspaces have equal
+``Subspace.basis``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ShapeMismatch
 
 __all__ = [
     "BitMatrix", "Subspace",
-    "popcount", "dot",
-    "rref", "rank", "solve", "kernel", "image", "preimage",
-    "intersect", "complement",
+    "popcount", "dot", "insert", "canonical",
+    "rank", "solve", "kernel", "image", "intersect", "complement",
 ]
 
 
@@ -77,12 +90,6 @@ class BitMatrix:
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def column(self, j: int) -> int:
-        v = 0
-        for i in range(self.rows):
-            v |= ((self.data[i] >> j) & 1) << i
-        return v
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.data)
 
@@ -121,18 +128,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_columns(self.cols, self.data)
 
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack with unequal column counts")
-        return BitMatrix(self.rows + other.rows, self.cols, self.data + other.data)
-
-    def hstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack with unequal row counts")
-        return BitMatrix(self.rows, self.cols + other.cols,
-                         tuple(a | (b << self.cols)
-                               for a, b in zip(self.data, other.data)))
-
     @staticmethod
     def block_diag(blocks: List["BitMatrix"]) -> "BitMatrix":
         rows: List[int] = []
@@ -143,35 +138,38 @@ class BitMatrix:
         return BitMatrix(sum(b.rows for b in blocks), col_off, tuple(rows))
 
 
-def _eliminate(rows: List[int], cols: int) -> Tuple[List[int], List[int]]:
-    """In-place full reduction; returns (reduced nonzero rows, pivot columns)."""
-    pivots: List[int] = []
-    out: List[int] = []
-    for col in range(cols):
-        bit = 1 << col
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if r & bit:
-                pivot_row = rows.pop(i)
-                break
-        if pivot_row is None:
-            continue
-        rows = [r ^ pivot_row if r & bit else r for r in rows]
-        out = [r ^ pivot_row if r & bit else r for r in out]
-        out.append(pivot_row)
-        pivots.append(col)
-    return out, pivots
+def insert(pivots: Dict[int, int], row: int, mask: int) -> int:
+    """Reduce ``row`` on the bits of ``mask`` by the pivot rows, each keyed
+    by its lowest bit; a row left nonzero there becomes a pivot.  Returns
+    the reduced row."""
+    while row & mask:
+        low = row & -row
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = row
+            break
+        row ^= pivot
+    return row
 
 
-def rref(m: BitMatrix) -> Tuple[BitMatrix, int]:
-    """Canonical reduced row echelon form (zero rows at the bottom) and rank."""
-    reduced, pivots = _eliminate(list(m.data), m.cols)
-    data = tuple(reduced) + (0,) * (m.rows - len(reduced))
-    return BitMatrix(m.rows, m.cols, data), len(pivots)
+def canonical(pivots: Dict[int, int]) -> List[int]:
+    """Clear every pivot bit from the other rows of the table, in place,
+    and return the rows in ascending pivot order."""
+    keys = sorted(pivots)
+    on_pivots = sum(keys)
+    for low in reversed(keys):  # rows of higher pivot are already reduced
+        row = pivots[low]
+        rest = (row & on_pivots) ^ low
+        while rest:
+            bit = rest & -rest
+            row ^= pivots[bit]
+            rest ^= bit
+        pivots[low] = row
+    return [pivots[low] for low in keys]
 
 
 def rank(m: BitMatrix) -> int:
-    return rref(m)[1]
+    return Subspace.span(m.data, m.cols).dim
 
 
 @dataclass(frozen=True)
@@ -182,12 +180,15 @@ class Subspace:
     """
 
     ambient_dim: int
-    basis: Tuple[int, ...]  # RREF rows, no zero rows
+    basis: Tuple[int, ...]  # RREF rows by lowest-bit pivot, no zero rows
 
     @staticmethod
     def span(vectors: Iterable[int], ambient_dim: int) -> "Subspace":
-        reduced, _ = _eliminate(list(vectors), ambient_dim)
-        return Subspace(ambient_dim, tuple(reduced))
+        mask = (1 << ambient_dim) - 1
+        pivots: Dict[int, int] = {}
+        for v in vectors:
+            insert(pivots, v, mask)
+        return Subspace(ambient_dim, tuple(canonical(pivots)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -195,109 +196,85 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span([1 << i for i in range(ambient_dim)], ambient_dim)
+        return Subspace(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: int) -> bool:
-        for b in self.basis:
-            low = b & -b  # pivot bit (lowest set bit of an RREF row)
-            if v & low:
-                v ^= b
-        return v == 0
+        return self.coords(v) is not None
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ShapeMismatch("sum of subspaces of different ambient spaces")
-        return Subspace.span(list(self.basis) + list(other.basis), self.ambient_dim)
+        return Subspace.span(self.basis + other.basis, self.ambient_dim)
 
     def coords(self, v: int) -> Optional[int]:
         """Express v in the canonical basis; bit i multiplies basis[i]."""
         out = 0
         for i, b in enumerate(self.basis):
-            low = b & -b
-            if v & low:
+            if v & b & -b:  # the pivot bit of b
                 v ^= b
                 out |= 1 << i
         return out if v == 0 else None
-
-    def as_matrix(self) -> BitMatrix:
-        return BitMatrix(len(self.basis), self.ambient_dim, self.basis)
 
 
 def solve(a: BitMatrix, b: int) -> Optional[int]:
     """One solution x of a x = b, or None.  Deterministic (free vars zero)."""
     n = a.cols
-    # Row-reduce the augmented system [A^T rows are unhandy]; work on columns:
-    # build rows of [A | b] where row i is (row of A, bit of b).
-    rows = [a.data[i] | ((b >> i & 1) << n) for i in range(a.rows)]
-    reduced, pivots = _eliminate(rows, n + 1)
-    x = 0
-    for r, p in zip(reduced, pivots):
-        if p == n:
-            return None  # pivot in the augmented column: inconsistent
-        if (r >> n) & 1:
-            x |= 1 << p
-    return x
+    mask = (1 << n) - 1
+    pivots: Dict[int, int] = {}
+    for i, r in enumerate(a.data):
+        # row i of [A | b]; reduced to the bit of b alone, it reads 0 = 1
+        if insert(pivots, r | (b >> i & 1) << n, mask) == 1 << n:
+            return None
+    return sum(r & -r for r in canonical(pivots) if r >> n)
 
 
 def kernel(a: BitMatrix) -> Subspace:
     """Null space {x : a x = 0} in canonical form."""
     n = a.cols
-    reduced, pivots = _eliminate(list(a.data), n)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
+    reduced = Subspace.span(a.data, n).basis
+    pivot_bits = sum(r & -r for r in reduced)
     vecs = []
-    for f in free_cols:
-        v = 1 << f
-        for r, p in zip(reduced, pivots):
-            if (r >> f) & 1:
-                v |= 1 << p
-        vecs.append(v)
+    for f in range(n):
+        if not pivot_bits >> f & 1:
+            # free variable f set to 1 fixes each pivot variable
+            vecs.append(sum((r & -r for r in reduced if r >> f & 1), 1 << f))
     return Subspace.span(vecs, n)
 
 
 def image(a: BitMatrix) -> Subspace:
     """Column space of a, inside F_2^rows."""
-    return Subspace.span([a.column(j) for j in range(a.cols)], a.rows)
-
-
-def _annihilator(s: Subspace) -> BitMatrix:
-    """Matrix whose kernel is exactly s (rows span the dual annihilator)."""
-    ann = kernel(s.as_matrix())
-    return ann.as_matrix()
-
-
-def preimage(a: BitMatrix, s: Subspace) -> Subspace:
-    """{x : a x lies in s}."""
-    if s.ambient_dim != a.rows:
-        raise ShapeMismatch("preimage target lives in the wrong ambient space")
-    c = _annihilator(s)
-    return kernel(c.mul(a))
+    return Subspace.span(a.transpose().data, a.rows)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Zassenhaus: each row a of s1 is inserted tracking a copy of itself, the
+    rows of s2 tracking nothing; a row of s2 that reduces to zero tracks a
+    vector of both, and these span the intersection."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ShapeMismatch("intersection across different ambient spaces")
-    c = _annihilator(s1).vstack(_annihilator(s2))
-    return kernel(c)
+    n = s1.ambient_dim
+    mask = (1 << n) - 1
+    pivots = {a & -a: a | a << n for a in s1.basis}
+    common = []
+    for b in s2.basis:
+        row = insert(pivots, b, mask)
+        if not row & mask:
+            common.append(row >> n)
+    return Subspace.span(common, n)
 
 
 def complement(inner: Subspace, outer: Subspace) -> List[int]:
     """Vectors extending a basis of ``inner`` to one of ``outer``.
 
     Deterministic: scans the canonical basis of ``outer`` in order and keeps
-    the lexicographically first completion.
+    each vector not in the span of ``inner`` and the vectors kept before it.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise ShapeMismatch("complement across different ambient spaces")
-    current = list(inner.basis)
-    picked: List[int] = []
-    for v in outer.basis:
-        reduced, _ = _eliminate(current + [v], inner.ambient_dim)
-        if len(reduced) > len(current):
-            current = reduced
-            picked.append(v)
-    return picked
+    mask = (1 << inner.ambient_dim) - 1
+    pivots = {b & -b: b for b in inner.basis}
+    return [v for v in outer.basis if insert(pivots, v, mask)]

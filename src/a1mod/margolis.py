@@ -112,20 +112,15 @@ def a0_decompose(m: A1Module) -> A0Decomposition:
     """Split the underlying Sq1-module into free pairs and trivial classes.
 
     In each degree, vectors completing ker(Sq1) to the whole degree span free
-    summands together with their Sq1-images; representatives of
-    ker(Sq1)/im(Sq1) span trivial summands.  The listed vectors jointly form
-    a basis of every fully-present degree.
+    summands together with their Sq1-images; the Q0-homology representatives
+    of ``margolis_homology`` span trivial summands.  The listed vectors
+    jointly form a basis of every degree in its reliable window.
     """
     pairs: List[Tuple[int, int, int]] = []
-    trivial: List[Tuple[int, int]] = []
     for k in m.space.degrees:
         if m.truncated_above is not None and k > m.truncated_above - 1:
             continue
-        ker = kernel(m.sq1.mat(k))
-        full = Subspace.full(m.dim(k))
-        for b in complement(ker, full):
+        for b in complement(kernel(m.sq1.mat(k)), Subspace.full(m.dim(k))):
             pairs.append((k, b, m.sq1.apply(k, b)))
-        im = image(m.sq1.mat(k - 1))
-        for r in complement(im, ker):
-            trivial.append((k, r))
-    return A0Decomposition(pairs, trivial)
+    reps = margolis_homology(m, "Q0").reps
+    return A0Decomposition(pairs, [(k, r) for k, rs in reps.items() for r in rs])

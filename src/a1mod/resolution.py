@@ -10,6 +10,7 @@ from typing import Dict, List, Tuple
 
 from .a1core import WORD_DEGREE, WORDS, A1Module, _times, apply_word
 from .errors import NotStabilized, TruncationTooTight
+from .f2linalg import insert
 
 __all__ = [
     "ResolutionStage", "ExtChart",
@@ -43,18 +44,6 @@ class ExtChart:
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
-
-
-def _insert(pivots: Dict[int, int], row: int, mask: int) -> int:
-    """Reduce ``row`` on the bits of ``mask`` by the pivot rows, each keyed
-    by its lowest bit; a row left nonzero there becomes a pivot."""
-    while row & mask:
-        low = row & -row
-        if low not in pivots:
-            pivots[low] = row
-            break
-        row ^= pivots[low]
-    return row
 
 
 def minimal_resolution(m: A1Module, algebra: str = "a1",
@@ -112,11 +101,11 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
             pivots: Dict[int, int] = {}
             for j, (gi, w) in enumerate(cells):
                 row = column(w, *stage.d_values[gi]) | 1 << (n + j)
-                row = _insert(pivots, row, mask)
+                row = insert(pivots, row, mask)
                 if not row & mask:
                     kernel.setdefault(t, []).append(row >> n)
             for v in cover.get(t, ()):
-                if _insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
+                if insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
                     gi = len(stage.gens)
                     for w in words[1:]:
                         decomposable.setdefault(t + WORD_DEGREE[w], []).append(

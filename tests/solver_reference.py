@@ -1,23 +1,104 @@
-"""Reference solvers for the closed forms in ``a1core`` and ``davismahowald``.
+"""Reference solvers for ``f2linalg`` and for the closed forms in
+``a1core`` and ``davismahowald``.
 
-Each packs every entry of an unknown graded map into one GF(2) system and
-solves it, which is slow but independent of the closed forms' homological
-algebra.  The tests compare the two on the same inputs.
+The linear algebra references share one column-scan elimination, a
+different algorithm from the lowest-bit pivot table of ``f2linalg``.  The
+module references pack every entry of an unknown graded map into one GF(2)
+system and solve it, which is slow but independent of the closed forms'
+homological algebra.  The tests compare each pair on the same inputs.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from a1mod.a1core import A1Module, GradedMap
 from a1mod.errors import ShapeMismatch
-from a1mod.f2linalg import BitMatrix, solve
+from a1mod.f2linalg import BitMatrix
 from a1mod.structure import _word_matrix
+
+
+def eliminate(rows: List[int], cols: int) -> Tuple[List[int], List[int]]:
+    """Full reduction scanning the columns in order; returns (reduced
+    nonzero rows, pivot columns), both in ascending pivot order."""
+    pivots: List[int] = []
+    out: List[int] = []
+    for col in range(cols):
+        bit = 1 << col
+        pivot_row = None
+        for i, r in enumerate(rows):
+            if r & bit:
+                pivot_row = rows.pop(i)
+                break
+        if pivot_row is None:
+            continue
+        rows = [r ^ pivot_row if r & bit else r for r in rows]
+        out = [r ^ pivot_row if r & bit else r for r in out]
+        out.append(pivot_row)
+        pivots.append(col)
+    return out, pivots
+
+
+def span_reference(vectors: List[int], n: int) -> Tuple[int, ...]:
+    return tuple(eliminate(list(vectors), n)[0])
+
+
+def rank_reference(a: BitMatrix) -> int:
+    return len(eliminate(list(a.data), a.cols)[1])
+
+
+def kernel_reference(a: BitMatrix) -> Tuple[int, ...]:
+    reduced, pivots = eliminate(list(a.data), a.cols)
+    vecs = []
+    for f in range(a.cols):
+        if f not in pivots:
+            v = 1 << f
+            for r, p in zip(reduced, pivots):
+                if (r >> f) & 1:
+                    v |= 1 << p
+            vecs.append(v)
+    return span_reference(vecs, a.cols)
+
+
+def solve_reference(a: BitMatrix, b: int) -> Optional[int]:
+    """The solution with every free variable zero, or None."""
+    n = a.cols
+    rows = [a.data[i] | ((b >> i & 1) << n) for i in range(a.rows)]
+    reduced, pivots = eliminate(rows, n + 1)
+    x = 0
+    for r, p in zip(reduced, pivots):
+        if p == n:
+            return None
+        if (r >> n) & 1:
+            x |= 1 << p
+    return x
+
+
+def complement_reference(inner: Tuple[int, ...], outer: Tuple[int, ...],
+                         n: int) -> List[int]:
+    """Each vector of ``outer`` that raises the rank of what precedes it."""
+    current = list(inner)
+    picked = []
+    for v in outer:
+        reduced, _ = eliminate(current + [v], n)
+        if len(reduced) > len(current):
+            current = reduced
+            picked.append(v)
+    return picked
+
+
+def intersect_reference(b1: Tuple[int, ...], b2: Tuple[int, ...],
+                        n: int) -> Tuple[int, ...]:
+    """The common kernel of the annihilators of both spans."""
+    def annihilator(basis):
+        return list(kernel_reference(BitMatrix(len(basis), n, tuple(basis))))
+    ann = annihilator(b1) + annihilator(b2)
+    return kernel_reference(BitMatrix(len(ann), n, tuple(ann)))
 
 
 def _solve_packed(rows: List[int], rhs: List[int], n: int):
     b = 0
     for i, bit in enumerate(rhs):
         b |= bit << i
-    return solve(BitMatrix(len(rows), n, tuple(rows)), b)
+    return solve_reference(BitMatrix(len(rows), n, tuple(rows)), b)
 
 
 def linear_map_reference(source: A1Module, target: A1Module,

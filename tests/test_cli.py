@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from a1mod import cli
+from a1mod import __version__, cli
 from a1mod.cli import main
 
 
@@ -178,6 +178,14 @@ def test_tensor_of_opposite_truncations_exit_1(capsys, tmp_path):
         code, out, err = run(capsys, "tensor", *map(str, pair))
         assert code == 1 and out == ""
         assert json.loads(err)["error"].endswith("has no complete degree")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_seagull_length_below_one_exit_2(capsys, n):
+    code, out, err = run(capsys, "seagull", "--n", n)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"command": "seagull", "version": __version__,
+                               "error": f"line 0: --n must be at least 1, got {n}"}
 
 
 def test_usage_error_exit_2(s1):

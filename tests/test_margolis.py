@@ -90,3 +90,13 @@ def test_a0_decompose_counts():
     for k, b, sb in dec.pairs:
         dk, image = a1core.apply_word(m, "Sq1", k, b)
         assert (dk, image) == (k + 1, sb)
+
+
+def test_a0_decompose_trivial_classes_respect_the_floor():
+    # the classes below the reliable window of a module truncated below are
+    # truncation artifacts, as in margolis_homology
+    m = a1core.dualize(structure.seagull_inf(20))
+    h = margolis_homology(m, "Q0")
+    dec = a0_decompose(m)
+    assert h.reliable == (-19, None) and h.nonzero_degrees() == [0]
+    assert sorted({d for d, _ in dec.trivial}) == [0]
