@@ -19,6 +19,7 @@ edges between them, and goes through ``module_from_edges``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RelationViolation, ShapeMismatch, TruncationTooTight
@@ -260,24 +261,37 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
     return module(labels, mats(sq1_edges, 1), mats(sq2_edges, 2), **module_kwargs)
 
 
+def _product(*factors: Optional[BitMatrix]) -> Optional[BitMatrix]:
+    """The product of the factors (the rightmost acting first), or None
+    for the zero map when one is absent."""
+    return None if None in factors else reduce(BitMatrix.mul, factors)
+
+
+def _vanishes(*products: Optional[BitMatrix]) -> bool:
+    """Whether the sum of the products is zero, None being the zero map."""
+    present = [p for p in products if p is not None]
+    return not present or reduce(BitMatrix.add, present).is_zero()
+
+
 def validate(m: A1Module) -> None:
     """Check the two defining relations on every checkable degree.
 
     Degree k is checked with the products of the structure matrices
     leaving degrees k..k+3, at most four matrix products per degree, so the
-    cost is linear in the number of degrees.  Sq1 Sq1 is checked before
-    Sq2 Sq2 at each degree, lowest degree first; the first failure raises
+    cost is linear in the number of degrees; a product with an absent
+    factor is zero and is skipped.  Sq1 Sq1 is checked before Sq2 Sq2 at
+    each degree, lowest degree first; the first failure raises
     ``RelationViolation``.
     """
-    sq1, sq2 = m.sq1.mat, m.sq2.mat
+    sq1, sq2 = m.sq1.mats.get, m.sq2.mats.get
+    cut = m.truncated_above
     for k in m.space.degrees:
-        if m.truncated_above is None or k + 2 <= m.truncated_above:
-            if not sq1(k + 1).mul(sq1(k)).is_zero():
+        if cut is None or k + 2 <= cut:
+            if not _vanishes(_product(sq1(k + 1), sq1(k))):
                 raise RelationViolation(k, "Sq1 Sq1 = 0")
-        if m.truncated_above is None or k + 4 <= m.truncated_above:
-            lhs = sq2(k + 2).mul(sq2(k))
-            rhs = sq1(k + 3).mul(sq2(k + 1)).mul(sq1(k))
-            if not lhs.add(rhs).is_zero():
+        if cut is None or k + 4 <= cut:
+            if not _vanishes(_product(sq2(k + 2), sq2(k)),
+                             _product(sq1(k + 3), sq2(k + 1), sq1(k))):
                 raise RelationViolation(k, "Sq2 Sq2 = Sq1 Sq2 Sq1")
 
 
@@ -383,6 +397,17 @@ def _extent(m: A1Module) -> Tuple[Optional[int], Optional[int]]:
     return _shifted(m.truncated_above, 1), _shifted(m.truncated_below, -1)
 
 
+def _spread(v: int, width: int) -> int:
+    """v with bit c moved to bit c * width: times w < 2^width, the bits of
+    w land at c * width + j without carries, a Kronecker product row."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << (low.bit_length() - 1) * width
+        v ^= low
+    return out
+
+
 def tensor(a: A1Module, b: A1Module) -> A1Module:
     """Tensor product with the diagonal action.
 
@@ -408,58 +433,56 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
     floor = _bound(_shifted(a.truncated_below, bhi),
                    _shifted(b.truncated_below, ahi), max)
 
-    # index[(p, i, q, j)] -> position in degree p+q
+    # degree k is a run of blocks a_p (x) b_(k-p), p ascending; the cell
+    # (i, j) of block p sits at offset[k][p] + i * dim b_(k-p) + j
     labels: Dict[int, List[str]] = {}
-    index: Dict[Tuple[int, int, int, int], int] = {}
+    offset: Dict[int, Dict[int, int]] = {}
     for p in a.space.degrees:
         for q in b.space.degrees:
             k = p + q
             if cut is not None and k > cut:
                 continue
-            labels.setdefault(k, [])
-    for k in sorted(labels):
-        pos = 0
-        for p in a.space.degrees:
-            q = k - p
-            for i, la in enumerate(a.space.labels.get(p, ())):
-                for j, lb in enumerate(b.space.labels.get(q, ())):
-                    index[(p, i, q, j)] = pos
-                    labels[k].append(f"{la}(x){lb}")
-                    pos += 1
+            row = labels.setdefault(k, [])
+            offset.setdefault(k, {})[p] = len(row)
+            row.extend(f"{x}(x){y}" for x in a.space.labels[p]
+                       for y in b.space.labels[q])
     space = GradedSpace(labels)
 
+    # rows[s][p]: the rows of Sq^s into degree p, Sq^0 being the identity
+    arows, brows = ([{p: [1 << i for i in range(m.dim(p))]
+                      for p in m.space.degrees},
+                     {p + 1: mat.data for p, mat in m.sq1.mats.items()},
+                     {p + 2: mat.data for p, mat in m.sq2.mats.items()}]
+                    for m in (a, b))
+
     def build(shift: int) -> Dict[int, BitMatrix]:
+        # Sq^shift(x (x) y) is the sum over the splittings shift = s + t of
+        # Sq^s x (x) Sq^t y (Sq1 (x) Sq1 being the middle term of Sq2).  A
+        # term sends block p - s of degree k into block p of degree
+        # k + shift as the Kronecker product X (x) Y, whose row (i, j) is
+        # row i of X with bit c spread to c * cols(Y), times row j of Y.
+        splits = [(s, shift - s) for s in range(shift, -1, -1)]
         mats = {}
         for k in space.degrees:
-            kt = k + shift
-            if space.dim(kt) == 0 or (cut is not None and kt > cut):
+            if k + shift not in offset:
                 continue
-            cols: List[int] = []
-            for p in a.space.degrees:
-                q = k - p
-                for i in range(a.dim(p)):
-                    for j in range(b.dim(q)):
-                        out = 0
-                        terms: List[Tuple[int, int, int, int]] = []
-                        if shift == 1:
-                            terms = [(p + 1, a.sq1.apply(p, 1 << i), q, 1 << j),
-                                     (p, 1 << i, q + 1, b.sq1.apply(q, 1 << j))]
-                        else:
-                            terms = [(p + 2, a.sq2.apply(p, 1 << i), q, 1 << j),
-                                     (p + 1, a.sq1.apply(p, 1 << i),
-                                      q + 1, b.sq1.apply(q, 1 << j)),
-                                     (p, 1 << i, q + 2, b.sq2.apply(q, 1 << j))]
-                        for (pp, va, qq, vb) in terms:
-                            if va == 0 or vb == 0:
-                                continue
-                            for ii in range(a.dim(pp)):
-                                if not (va >> ii) & 1:
-                                    continue
-                                for jj in range(b.dim(qq)):
-                                    if (vb >> jj) & 1:
-                                        out ^= 1 << index[(pp, ii, qq, jj)]
-                        cols.append(out)
-            mats[k] = BitMatrix.from_columns(space.dim(kt), cols)
+            src = offset[k]
+            out: List[int] = []
+            for p in offset[k + shift]:
+                q = k + shift - p
+                terms = []
+                for s, t in splits:
+                    x, y = arows[s].get(p), brows[t].get(q)
+                    if x is not None and y is not None:
+                        width, off = len(brows[0][q - t]), src[p - s]
+                        terms.append(([_spread(r, width) << off for r in x], y))
+                for i in range(len(arows[0][p])):
+                    block = [0] * len(brows[0][q])
+                    for xs, ys in terms:
+                        if xs[i]:
+                            block = [r ^ xs[i] * y for r, y in zip(block, ys)]
+                    out.extend(block)
+            mats[k] = BitMatrix(len(out), len(labels[k]), tuple(out))
         return mats
 
     name = f"{a.name}(x){b.name}" if a.name and b.name else ""

@@ -84,24 +84,31 @@ Class = Tuple[int, int, str]          # (stem, sigma, label)
 Arrow = Tuple[int, int, int, int]     # (stem, sigma) -> (stem', sigma')
 
 
+def _stem_axis(classes: Sequence[Class]) -> range:
+    """The stems a page shows: from the lowest stem or 0, whichever is
+    lower, to the highest (just 0 for an empty page)."""
+    stems = [c[0] for c in classes] or [0]
+    return range(min(0, min(stems)), max(stems) + 1)
+
+
 def page_ascii(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
     """One marker per class at (stem, sigma); marker shape keyed to sigma.
     Arrows are listed below the grid."""
     if not classes:
         return "(empty page)\n"
-    max_stem = max(c[0] for c in classes)
+    stems = _stem_axis(classes)
     max_sigma = max(c[1] for c in classes)
-    rows: List[List[str]] = [[" "] * (3 * (max_stem + 1))
+    rows: List[List[str]] = [[" "] * (3 * len(stems))
                              for _ in range(max_sigma + 1)]
     for stem, sigma, _ in classes:
-        col = 3 * stem + 1
+        col = 3 * (stem - stems.start) + 1
         cur = rows[sigma][col]
         rows[sigma][col] = _marker(sigma) if cur == " " else "+"
     lines = []
     for sigma in range(max_sigma, -1, -1):
         lines.append(f"{sigma:>3d} |" + "".join(rows[sigma]).rstrip())
-    lines.append("    +" + "-" * (3 * (max_stem + 1)))
-    axis = "".join(f"{stem:<3d}" for stem in range(max_stem + 1)).rstrip()
+    lines.append("    +" + "-" * (3 * len(stems)))
+    axis = "".join(f"{stem:<3d}" for stem in stems).rstrip()
     lines.append("     " + axis)
     lines.append("     stem ->   (vertical: sigma)")
     for a, b, c, d in arrows:
@@ -110,14 +117,15 @@ def page_ascii(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
 
 
 def page_svg(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
+    """The page as SVG, on the stem axis of ``page_ascii``."""
     cell, pad = 40, 30
-    max_stem = max((c[0] for c in classes), default=0)
+    stems = _stem_axis(classes)
     max_sigma = max((c[1] for c in classes), default=0)
-    w = 2 * pad + cell * (max_stem + 1)
+    w = 2 * pad + cell * len(stems)
     h = 2 * pad + cell * (max_sigma + 1)
 
     def xy(stem: int, sigma: int) -> Tuple[float, float]:
-        return (pad + cell * stem + cell / 2,
+        return (pad + cell * (stem - stems.start) + cell / 2,
                 h - pad - cell * sigma - cell / 2)
 
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
@@ -146,7 +154,7 @@ def page_svg(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
             svg, "polygon",
             points=f"{x1},{y1} {x1 + 8},{y1 + 2} {x1 + 4},{y1 + 8}",
             fill="red")
-    for stem in range(max_stem + 1):
+    for stem in stems:
         t = ET.SubElement(svg, "text", x=str(xy(stem, 0)[0]),
                           y=str(h - pad + 18))
         t.set("text-anchor", "middle")

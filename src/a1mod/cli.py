@@ -7,6 +7,11 @@ generated module files go to the path given with ``-o``.
 
 Exit codes: 0 success, 1 domain error (invalid module, failed check),
 2 usage or parse error.
+
+The size options have upper limits (``LIMITS``): ``--max-s`` 128,
+``--max-t`` 256, ``--max-stem`` 128, ``--max-sigma`` 128, ``--cutoff`` 256
+and ``--n`` 1024.  A larger value exits 2 with a JSON error before any work
+starts, instead of running for hours.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ from . import resolution, structure
 from .errors import A1ModError, ParseError
 
 __all__ = ["main"]
+
+# the largest accepted value of each size option, by argparse destination
+LIMITS: Dict[str, int] = {"max_s": 128, "max_t": 256, "max_stem": 128,
+                          "max_sigma": 128, "cutoff": 256, "n": 1024}
 
 
 def _digest(texts: List[str]) -> str:
@@ -360,9 +369,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_limits(args) -> None:
+    for dest, limit in LIMITS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value > limit:
+            option = "--" + dest.replace("_", "-")
+            raise ParseError(0, f"{option} {value} is above its limit {limit}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_limits(args)
         payload, reliable, texts = args.handler(args)
     except ParseError as e:
         print(json.dumps({"command": args.command, "error": str(e),

@@ -462,7 +462,8 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     localized spectral sequence collapses onto it?  Detectors in order:
     a nonzero closed-form differential, a finite seagull in the localized
     flock, an all-open flock for a local module, then the degree-4 operator
-    obstruction."""
+    obstruction, which only a truncated module can meet: otherwise the
+    operator exists once the differential vanishes."""
     evidence: List[str] = []
     data = d2(m)
     if not data.is_zero():
@@ -480,8 +481,12 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     if is_q0_local(m).local:
         evidence.append("module is Q0-local with an open flock")
         return LiftVerdict("lifts", evidence)
-    sq4 = sq4_solver(m)
-    if not sq4.feasible:
+    # without truncation the operator exists exactly when d2 vanishes, as
+    # it has here (W is zero on Q0-homology exactly when right
+    # multiplication by W, which is d2, is zero on the dual's), so only a
+    # truncated module needs the solver
+    truncated = m.truncated_above is not None or m.truncated_below is not None
+    if truncated and not sq4_solver(m).feasible:
         evidence.append("no degree-4 operator satisfies the commutator equation")
         return LiftVerdict("no_lift", evidence)
     evidence.append("degree-4 operator exists; no obstruction found")

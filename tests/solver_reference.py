@@ -5,13 +5,16 @@ The linear algebra references share one column-scan elimination, a
 different algorithm from the lowest-bit pivot table of ``f2linalg``.  The
 module references pack every entry of an unknown graded map into one GF(2)
 system and solve it, which is slow but independent of the closed forms'
-homological algebra.  The tests compare each pair on the same inputs.
+homological algebra.  ``tensor_reference`` builds the tensor product one
+output bit at a time, where ``a1core.tensor`` shifts whole Kronecker
+blocks.  The tests compare each pair on the same inputs.
 """
 
 from typing import Dict, List, Optional, Tuple
 
-from a1mod.a1core import A1Module, GradedMap
-from a1mod.errors import ShapeMismatch
+from a1mod.a1core import (A1Module, GradedMap, GradedSpace, _bound, _extent,
+                          _shifted, module, zero_module)
+from a1mod.errors import ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix
 from a1mod.structure import _word_matrix
 
@@ -199,3 +202,89 @@ def sq4_reference(m: A1Module) -> bool:
                 rows.append(bits)
                 rhs.append(wing.get(r, c))
     return _solve_packed(rows, rhs, n) is not None
+
+
+def tensor_reference(a: A1Module, b: A1Module) -> A1Module:
+    """``a1core.tensor`` cell by cell: each output bit is found through a
+    dictionary from (p, i, q, j) to its position and each term through
+    ``GradedMap.apply``.  Tensor product with the diagonal action.
+
+    Sq1(x (x) y) = Sq1 x (x) y + x (x) Sq1 y
+    Sq2(x (x) y) = Sq2 x (x) y + Sq1 x (x) Sq1 y + x (x) Sq2 y
+
+    Basis order in each degree: source degrees of the left factor ascending,
+    then (left index, right index) lexicographic.  Raises
+    ``TruncationTooTight`` when one factor is truncated above and the other
+    below: their missing degrees pair up in every degree of the product.
+    """
+    for x, y in ((a, b), (b, a)):
+        if x.truncated_above is not None and y.truncated_below is not None:
+            raise TruncationTooTight(
+                f"tensor of a module truncated above {x.truncated_above} and "
+                f"one truncated below {y.truncated_below} has no complete degree")
+    (alo, ahi), (blo, bhi) = _extent(a), _extent(b)
+    if (None, None) in ((alo, ahi), (blo, bhi)):  # an exact zero factor
+        return zero_module()
+    # a degree is complete when every factor pair summing to it is
+    cut = _bound(_shifted(a.truncated_above, blo),
+                 _shifted(b.truncated_above, alo), min)
+    floor = _bound(_shifted(a.truncated_below, bhi),
+                   _shifted(b.truncated_below, ahi), max)
+
+    # index[(p, i, q, j)] -> position in degree p+q
+    labels: Dict[int, List[str]] = {}
+    index: Dict[Tuple[int, int, int, int], int] = {}
+    for p in a.space.degrees:
+        for q in b.space.degrees:
+            k = p + q
+            if cut is not None and k > cut:
+                continue
+            labels.setdefault(k, [])
+    for k in sorted(labels):
+        pos = 0
+        for p in a.space.degrees:
+            q = k - p
+            for i, la in enumerate(a.space.labels.get(p, ())):
+                for j, lb in enumerate(b.space.labels.get(q, ())):
+                    index[(p, i, q, j)] = pos
+                    labels[k].append(f"{la}(x){lb}")
+                    pos += 1
+    space = GradedSpace(labels)
+
+    def build(shift: int) -> Dict[int, BitMatrix]:
+        mats = {}
+        for k in space.degrees:
+            kt = k + shift
+            if space.dim(kt) == 0 or (cut is not None and kt > cut):
+                continue
+            cols: List[int] = []
+            for p in a.space.degrees:
+                q = k - p
+                for i in range(a.dim(p)):
+                    for j in range(b.dim(q)):
+                        out = 0
+                        terms: List[Tuple[int, int, int, int]] = []
+                        if shift == 1:
+                            terms = [(p + 1, a.sq1.apply(p, 1 << i), q, 1 << j),
+                                     (p, 1 << i, q + 1, b.sq1.apply(q, 1 << j))]
+                        else:
+                            terms = [(p + 2, a.sq2.apply(p, 1 << i), q, 1 << j),
+                                     (p + 1, a.sq1.apply(p, 1 << i),
+                                      q + 1, b.sq1.apply(q, 1 << j)),
+                                     (p, 1 << i, q + 2, b.sq2.apply(q, 1 << j))]
+                        for (pp, va, qq, vb) in terms:
+                            if va == 0 or vb == 0:
+                                continue
+                            for ii in range(a.dim(pp)):
+                                if not (va >> ii) & 1:
+                                    continue
+                                for jj in range(b.dim(qq)):
+                                    if (vb >> jj) & 1:
+                                        out ^= 1 << index[(pp, ii, qq, jj)]
+                        cols.append(out)
+            mats[k] = BitMatrix.from_columns(space.dim(kt), cols)
+        return mats
+
+    name = f"{a.name}(x){b.name}" if a.name and b.name else ""
+    return module(labels, build(1), build(2), truncated_above=cut,
+                  truncated_below=floor, name=name)

@@ -13,7 +13,8 @@ from a1mod.a1core import (DUAL_WORD, LMUL, TOP_WORD, WORD_DEGREE, WORDS,
 from a1mod.errors import RelationViolation, ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix, Subspace, rank
 from a1mod.margolis import margolis_homology
-from solver_reference import linear_map_reference
+from random_modules import opposite_truncations, random_module, random_part
+from solver_reference import linear_map_reference, tensor_reference
 
 
 def test_word_degrees():
@@ -115,6 +116,11 @@ def test_relation_violation_reports_degree_and_relation():
     assert _violation([("a", 2), ("b", 4), ("c", 6), ("p", 5), ("q", 7)],
                       [("p", "c"), ("c", "q")],
                       [("a", "b"), ("b", "c")]) == (2, "Sq2 Sq2 = Sq1 Sq2 Sq1")
+    # a product with an absent factor is zero: Sq1 Sq2 Sq1 a = d with no
+    # Sq2 out of degree 0 (SQ2_BROKEN has the converse, no Sq1 at all)
+    assert _violation([("a", 0), ("b", 1), ("c", 3), ("d", 4)],
+                      [("a", "b"), ("c", "d")],
+                      [("b", "c")]) == (0, "Sq2 Sq2 = Sq1 Sq2 Sq1")
     # both fail at degree 2: Sq1 Sq1 is checked first
     assert _violation([("a", 2), ("b", 3), ("c", 4), ("d", 6)],
                       [("a", "b"), ("b", "c")],
@@ -307,6 +313,38 @@ def test_tensor_truncated_below_kunneth():
     for op, want in (("Q0", [0, 5]), ("Q1", [])):
         h = margolis_homology(t, op)
         assert [k for k in h.nonzero_degrees() if h.in_range(k)] == want
+
+
+def _tensor_factor(rng):
+    """A random factor; sometimes the zero module or an empty one that
+    keeps a bound from above or below."""
+    m = random_module(rng) if rng.random() < 0.6 else random_part(rng)
+    roll = rng.random()
+    if roll < 0.1:
+        return a1core.zero_module()
+    if roll < 0.25 and m.lo is not None:
+        empty = truncate(m, m.lo - 1)
+        return empty if rng.random() < 0.5 else dualize(empty)
+    return m
+
+
+def _presentation(m):
+    return (list(m.space.labels.items()), list(m.sq1.mats.items()),
+            list(m.sq2.mats.items()), m.truncated_above, m.truncated_below,
+            m.name)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_tensor_matches_the_cellwise_reference(seed):
+    # same labels, basis order, matrices (in degree order), bounds and name
+    rng = random.Random(seed)
+    a, b = _tensor_factor(rng), _tensor_factor(rng)
+    if opposite_truncations(a, b):
+        with pytest.raises(TruncationTooTight):
+            tensor(a, b)
+        return
+    assert _presentation(tensor(a, b)) == _presentation(tensor_reference(a, b))
 
 
 @given(st.integers(1, 5), st.integers(1, 5))

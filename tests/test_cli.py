@@ -188,6 +188,87 @@ def test_seagull_length_below_one_exit_2(capsys, n):
                                "error": f"line 0: --n must be at least 1, got {n}"}
 
 
+NEGATIVE_STEM_PAGES = {
+    "4": ("  4 |                         ^\n"
+          "  3 |\n"
+          "  2 |             #\n"
+          "  1 |\n"
+          "  0 | o\n"
+          "    +---------------------------\n"
+          "     -5 -4 -3 -2 -1 0  1  2  3\n"
+          "     stem ->   (vertical: sigma)\n"),
+    "6": ("  6 |                                     *\n"
+          "  5 |\n"
+          "  4 |                         ^\n"
+          "  3 |\n"
+          "  2 |             #\n"
+          "  1 |\n"
+          "  0 | o\n"
+          "    +---------------------------------------\n"
+          "     -5 -4 -3 -2 -1 0  1  2  3  4  5  6  7\n"
+          "     stem ->   (vertical: sigma)\n"),
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(NEGATIVE_STEM_PAGES))
+def test_e2_chart_with_negative_stems(capsys, tmp_path, sigma):
+    # classes at stems -5, -1, 3 (and 7): the axis starts at the lowest stem
+    inf, low = str(tmp_path / "inf.mod"), str(tmp_path / "low.mod")
+    record(capsys, "seagull", "--infinite", "--cutoff", "20", "-o", inf)
+    record(capsys, "suspend", inf, "--by", "-5", "-o", low)
+    rec = record(capsys, "chart", low, "--kind", "e2", "--max-sigma", sigma)
+    assert rec["payload"]["chart"] == NEGATIVE_STEM_PAGES[sigma]
+    svg = ET.fromstring(record(capsys, "chart", low, "--kind", "e2",
+                               "--format", "svg", "--max-sigma",
+                               sigma)["payload"]["chart"])
+    width = float(svg.get("width"))
+    xs = [float(el.get("cx")) for el in svg if el.tag.endswith("circle")]
+    labels = [el.text for el in svg if el.tag.endswith("text")]
+    assert xs and all(30 < x < width - 30 for x in xs)
+    assert labels[0] == "-5" and labels[-1] == str(2 * int(sigma) - 5)
+
+
+# the command, the option at its limit, and the call that would do the work
+LIMITED = [
+    (["ext", "{m}", "--max-t", "10", "--max-s"], "max_s", "resolution.ext_dims"),
+    (["ext", "{m}", "--max-s", "4", "--max-t"], "max_t", "resolution.ext_dims"),
+    (["towers", "{m}", "--max-stem"], "max_stem", "resolution.h0_tower_counts"),
+    (["chart", "{m}", "--max-stem"], "max_stem", "resolution.h0_tower_counts"),
+    (["dm-e1", "{m}", "--max-sigma"], "max_sigma", "davismahowald.e1_page"),
+    (["chart", "{m}", "--kind", "e2", "--max-sigma"], "max_sigma",
+     "davismahowald.e1_page"),
+    (["localize", "{m}", "--cutoff"], "cutoff", "structure.localize_q0"),
+    (["lift-check", "{m}", "--cutoff"], "cutoff", "davismahowald.lift_check"),
+    (["seagull", "--infinite", "--cutoff"], "cutoff", "structure.seagull_inf"),
+    (["seagull", "--n"], "n", "structure.seagull"),
+]
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv,dest,work", LIMITED,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_size_option_limits(capsys, monkeypatch, s1, argv, dest, work):
+    # at the limit the work starts (and is stopped at once); one above, the
+    # request is refused with exit 2 before it starts
+    def started(*args, **kwargs):
+        raise _Started
+    module, name = work.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, started)
+    limit = cli.LIMITS[dest]
+    argv = [a.format(m=s1) for a in argv]
+    with pytest.raises(_Started):
+        main(argv + [str(limit)])
+    code, out, err = run(capsys, *argv, str(limit + 1))
+    option = "--" + dest.replace("_", "-")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "command": argv[0], "version": __version__,
+        "error": f"line 0: {option} {limit + 1} is above its limit {limit}"}
+
+
 def test_usage_error_exit_2(s1):
     with pytest.raises(SystemExit) as exc:
         main(["margolis", s1])          # --operator is required

@@ -1,6 +1,7 @@
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +211,32 @@ def test_sq4_feasible_exactly_when_d2_vanishes(seed):
     # dual's Q0-homology
     m = random_module(random.Random(seed), truncated=False)
     assert sq4_solver(m).feasible == d2(m).is_zero()
+
+
+def _no_solver(m):
+    raise AssertionError("sq4_solver ran")
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=12, deadline=None)
+def test_lift_check_needs_no_solver_without_truncation(seed):
+    # the fourth detector runs once d2 has vanished, and then, without
+    # truncation, the operator exists: lift_check answers without the
+    # solver, and the solver it skips would have found the operator
+    m = random_module(random.Random(seed), truncated=False)
+    want = lift_check(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(davismahowald, "sq4_solver", _no_solver)
+        got = lift_check(m)
+    assert (got.outcome, got.evidence) == (want.outcome, want.evidence)
+    if got.evidence[-1] == "degree-4 operator exists; no obstruction found":
+        assert sq4_solver(m).feasible
+
+
+def test_lift_check_runs_the_solver_on_truncated_modules(monkeypatch):
+    monkeypatch.setattr(davismahowald, "sq4_solver", _no_solver)
+    with pytest.raises(AssertionError, match="sq4_solver ran"):
+        lift_check(a1core.truncate(f2(), 10))
 
 
 def test_dm_and_injective_maps_match_the_reference_solve(monkeypatch):
