@@ -8,10 +8,12 @@ generated module files go to the path given with ``-o``.
 Exit codes: 0 success, 1 domain error (invalid module, failed check),
 2 usage or parse error.
 
-The size options have upper limits (``LIMITS``): ``--max-s`` 128,
-``--max-t`` 256, ``--max-stem`` 128, ``--max-sigma`` 128, ``--cutoff`` 256
-and ``--n`` 1024.  A larger value exits 2 with a JSON error before any work
-starts, instead of running for hours.
+The size options have upper limits (``LIMITS``) on how far they reach:
+``--cutoff`` 256 and ``--max-t`` 256 degrees above the module's bottom
+degree (above ``--shift`` for ``seagull --infinite``), ``--max-stem`` 128
+above the lower of the bottom degree and 0, and ``--max-s`` 128,
+``--max-sigma`` 128 and ``--n`` 1024 as they stand.  A larger value exits 2
+with a JSON error before any work starts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import A1ModError, ParseError
 
 __all__ = ["main"]
 
-# the largest accepted value of each size option, by argparse destination
+# the farthest each size option may reach, by argparse destination
 LIMITS: Dict[str, int] = {"max_s": 128, "max_t": 256, "max_stem": 128,
                           "max_sigma": 128, "cutoff": 256, "n": 1024}
 
@@ -48,6 +50,19 @@ def _load(path: str) -> Tuple[a1core.A1Module, str]:
     except OSError as e:
         raise ParseError(0, f"cannot read {path}: {e.strerror}")
     return modfile.parse_module(text), text
+
+
+def _limit(args, dest: str, base: Optional[int] = None) -> None:
+    """Refuse the option ``dest`` when it reaches more than ``LIMITS[dest]``
+    above degree ``base`` (above 0 when ``base`` is None)."""
+    value, limit = getattr(args, dest), LIMITS[dest]
+    if value is None or value - (base or 0) <= limit:
+        return
+    option = "--" + dest.replace("_", "-")
+    if base is None:
+        raise ParseError(0, f"{option} {value} is above its limit {limit}")
+    raise ParseError(0, f"{option} {value} reaches {value - base} above "
+                        f"degree {base}, beyond its limit {limit}")
 
 
 def _window(pair) -> List[Optional[int]]:
@@ -134,6 +149,7 @@ def _cmd_classify(args):
 
 def _cmd_localize(args):
     m, text = _load(args.module)
+    _limit(args, "cutoff", m.lo)
     report = structure.localize_q0(m, args.cutoff)
     payload = {
         "descriptor": _descriptor_json(report.descriptor),
@@ -146,14 +162,23 @@ def _cmd_localize(args):
 
 def _cmd_ext(args):
     m, text = _load(args.module)
+    _limit(args, "max_s")
+    _limit(args, "max_t", m.lo)
     chart = resolution.ext_dims(m, args.algebra, args.max_s, args.max_t)
     dims = {f"{s},{t}": d for (s, t), d in sorted(chart.dims.items()) if d}
     return {"algebra": chart.algebra, "max_s": chart.max_s,
             "max_t": chart.max_t, "dims": dims}, None, [text]
 
 
+def _tower_base(m: a1core.A1Module) -> int:
+    """The lowest stem ``h0_tower_counts`` reports: its resolution reaches
+    ``--max-stem`` minus this far in filtration."""
+    return min(m.lo, 0) if m.lo is not None else 0
+
+
 def _cmd_towers(args):
     m, text = _load(args.module)
+    _limit(args, "max_stem", _tower_base(m))
     counts = resolution.h0_tower_counts(m, args.max_stem)
     return {"towers": {str(k): v for k, v in sorted(counts.items()) if v},
             "max_stem": args.max_stem}, None, [text]
@@ -161,6 +186,7 @@ def _cmd_towers(args):
 
 def _cmd_dm_e1(args):
     m, text = _load(args.module)
+    _limit(args, "max_sigma")
     page = davismahowald.e1_page(m, args.max_sigma)
     payload = {
         "classes": [{"sigma": s, "stem": st, "label": lbl}
@@ -193,6 +219,7 @@ def _cmd_dm_e3(args):
 
 def _cmd_lift_check(args):
     m, text = _load(args.module)
+    _limit(args, "cutoff", m.lo)
     verdict = davismahowald.lift_check(m, args.cutoff)
     return {"outcome": verdict.outcome,
             "evidence": verdict.evidence}, None, [text]
@@ -207,11 +234,13 @@ def _cmd_sq4_check(args):
 def _cmd_chart(args):
     m, text = _load(args.module)
     if args.kind == "towers":
+        _limit(args, "max_stem", _tower_base(m))
         counts = resolution.h0_tower_counts(m, args.max_stem)
         body = (charts.towers_ascii(counts, args.max_stem)
                 if args.format == "ascii"
                 else charts.towers_svg(counts, args.max_stem))
     else:
+        _limit(args, "max_sigma")
         page = davismahowald.e1_page(m, args.max_sigma)
         data = davismahowald.d2(m)
         stem_of = {lbl: st for _, st, lbl in page.records}
@@ -243,6 +272,7 @@ def _cmd_seagull(args):
     if args.infinite:
         if args.cutoff is None:
             raise ParseError(0, "--infinite requires --cutoff")
+        _limit(args, "cutoff", args.shift)
         m = structure.seagull_inf(args.cutoff, args.shift)
         name = f"seagull_inf_{args.cutoff}"
     else:
@@ -250,6 +280,7 @@ def _cmd_seagull(args):
             raise ParseError(0, "need --n or --infinite")
         if args.n < 1:
             raise ParseError(0, f"--n must be at least 1, got {args.n}")
+        _limit(args, "n")
         m = structure.seagull(args.n, args.shift)
         name = f"seagull_{args.n}"
     if args.shift:
@@ -369,18 +400,9 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_limits(args) -> None:
-    for dest, limit in LIMITS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value > limit:
-            option = "--" + dest.replace("_", "-")
-            raise ParseError(0, f"{option} {value} is above its limit {limit}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_limits(args)
         payload, reliable, texts = args.handler(args)
     except ParseError as e:
         print(json.dumps({"command": args.command, "error": str(e),

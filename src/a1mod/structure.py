@@ -17,7 +17,6 @@ and all functionals at once and keeps the common kernel of the retractions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -379,14 +378,8 @@ def localize_q0(m: A1Module, cutoff: Optional[int] = None) -> DecompositionRepor
     inf_cut = cutoff - m.lo
     if inf_cut < 5:
         raise TruncationTooTight("localization cutoff leaves no full wing")
-    return classify(tensor(_localizing_seagull(inf_cut), m))
-
-
-@functools.lru_cache(maxsize=16)
-def _localizing_seagull(cutoff: int) -> A1Module:
-    """``seagull_inf(cutoff)``, built once per cutoff.  ``tensor`` only reads
-    it, and ``localize_q0`` returns none of it, so sharing is safe."""
-    return seagull_inf(cutoff)
+    local = tensor(seagull_inf(inf_cut), m)
+    return classify(local)
 
 
 def default_cutoff(m: A1Module) -> int:

@@ -228,19 +228,28 @@ def test_e2_chart_with_negative_stems(capsys, tmp_path, sigma):
     assert labels[0] == "-5" and labels[-1] == str(2 * int(sigma) - 5)
 
 
-# the command, the option at its limit, and the call that would do the work
+# the command, the option at its limit, the call that would do the work, and
+# whether the limit is on the reach above the module's bottom degree (0 for
+# s1, which is also the --shift of the seagull)
 LIMITED = [
-    (["ext", "{m}", "--max-t", "10", "--max-s"], "max_s", "resolution.ext_dims"),
-    (["ext", "{m}", "--max-s", "4", "--max-t"], "max_t", "resolution.ext_dims"),
-    (["towers", "{m}", "--max-stem"], "max_stem", "resolution.h0_tower_counts"),
-    (["chart", "{m}", "--max-stem"], "max_stem", "resolution.h0_tower_counts"),
-    (["dm-e1", "{m}", "--max-sigma"], "max_sigma", "davismahowald.e1_page"),
+    (["ext", "{m}", "--max-t", "10", "--max-s"], "max_s", "resolution.ext_dims",
+     False),
+    (["ext", "{m}", "--max-s", "4", "--max-t"], "max_t", "resolution.ext_dims",
+     True),
+    (["towers", "{m}", "--max-stem"], "max_stem", "resolution.h0_tower_counts",
+     True),
+    (["chart", "{m}", "--max-stem"], "max_stem", "resolution.h0_tower_counts",
+     True),
+    (["dm-e1", "{m}", "--max-sigma"], "max_sigma", "davismahowald.e1_page",
+     False),
     (["chart", "{m}", "--kind", "e2", "--max-sigma"], "max_sigma",
-     "davismahowald.e1_page"),
-    (["localize", "{m}", "--cutoff"], "cutoff", "structure.localize_q0"),
-    (["lift-check", "{m}", "--cutoff"], "cutoff", "davismahowald.lift_check"),
-    (["seagull", "--infinite", "--cutoff"], "cutoff", "structure.seagull_inf"),
-    (["seagull", "--n"], "n", "structure.seagull"),
+     "davismahowald.e1_page", False),
+    (["localize", "{m}", "--cutoff"], "cutoff", "structure.localize_q0", True),
+    (["lift-check", "{m}", "--cutoff"], "cutoff", "davismahowald.lift_check",
+     True),
+    (["seagull", "--infinite", "--cutoff"], "cutoff", "structure.seagull_inf",
+     True),
+    (["seagull", "--n"], "n", "structure.seagull", False),
 ]
 
 
@@ -248,25 +257,76 @@ class _Started(Exception):
     pass
 
 
-@pytest.mark.parametrize("argv,dest,work", LIMITED,
-                         ids=lambda x: x if isinstance(x, str) else None)
-def test_size_option_limits(capsys, monkeypatch, s1, argv, dest, work):
-    # at the limit the work starts (and is stopped at once); one above, the
-    # request is refused with exit 2 before it starts
+def _refusal(dest, value, base):
+    option = "--" + dest.replace("_", "-")
+    if base is None:
+        return f"line 0: {option} {value} is above its limit {cli.LIMITS[dest]}"
+    return (f"line 0: {option} {value} reaches {value - base} above degree "
+            f"{base}, beyond its limit {cli.LIMITS[dest]}")
+
+
+def _starts_at_refuses_above(capsys, monkeypatch, argv, dest, work, top, base):
+    # at top the work starts (and is stopped at once); one above, the request
+    # is refused with exit 2 before it starts
     def started(*args, **kwargs):
         raise _Started
     module, name = work.split(".")
     monkeypatch.setattr(getattr(cli, module), name, started)
-    limit = cli.LIMITS[dest]
-    argv = [a.format(m=s1) for a in argv]
     with pytest.raises(_Started):
-        main(argv + [str(limit)])
-    code, out, err = run(capsys, *argv, str(limit + 1))
-    option = "--" + dest.replace("_", "-")
+        main(argv + [str(top)])
+    code, out, err = run(capsys, *argv, str(top + 1))
     assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "command": argv[0], "version": __version__,
-        "error": f"line 0: {option} {limit + 1} is above its limit {limit}"}
+    assert json.loads(err) == {"command": argv[0], "version": __version__,
+                               "error": _refusal(dest, top + 1, base)}
+
+
+@pytest.mark.parametrize("argv,dest,work,relative", LIMITED,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_size_option_limits(capsys, monkeypatch, s1, argv, dest, work,
+                            relative):
+    argv = [a.format(m=s1) for a in argv]
+    _starts_at_refuses_above(capsys, monkeypatch, argv, dest, work,
+                             cli.LIMITS[dest], 0 if relative else None)
+
+
+# on a module shifted far up or far down the limit moves with it: the option,
+# the call that would do the work, and the base it is measured from
+SHIFTED = [
+    (["localize", "{m}", "--cutoff"], "structure.localize_q0", "lo"),
+    (["lift-check", "{m}", "--cutoff"], "davismahowald.lift_check", "lo"),
+    (["ext", "{m}", "--max-s", "4", "--max-t"], "resolution.ext_dims", "lo"),
+    (["towers", "{m}", "--max-stem"], "resolution.h0_tower_counts", "min0"),
+    (["chart", "{m}", "--max-stem"], "resolution.h0_tower_counts", "min0"),
+]
+
+
+@pytest.mark.parametrize("by", [300, -2000])
+@pytest.mark.parametrize("argv,work,base", SHIFTED,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_size_option_limits_follow_the_module(capsys, monkeypatch, tmp_path,
+                                              s1, by, argv, work, base):
+    path = str(tmp_path / "shifted.mod")
+    record(capsys, "suspend", s1, "--by", str(by), "-o", path)
+    dest = argv[-1][2:].replace("-", "_")
+    base = by if base == "lo" else min(by, 0)
+    argv = [a.format(m=path) for a in argv]
+    _starts_at_refuses_above(capsys, monkeypatch, argv, dest, work,
+                             base + cli.LIMITS[dest], base)
+
+
+def test_shifted_limits_refuse_far_and_admit_near(capsys, tmp_path, s1):
+    # a request near a module shifted far up runs; a short stem range on a
+    # module shifted far down reaches far in filtration and is refused
+    up, down = str(tmp_path / "up.mod"), str(tmp_path / "down.mod")
+    record(capsys, "suspend", s1, "--by", "300", "-o", up)
+    record(capsys, "suspend", s1, "--by", "-2000", "-o", down)
+    rec = record(capsys, "ext", up, "--max-s", "2", "--max-t", "310")
+    assert rec["payload"]["dims"]["0,300"] == 1
+    assert record(capsys, "localize", up, "--cutoff", "320")["payload"]
+    for argv in (["towers", down, "--max-stem", "8"],
+                 ["ext", down, "--max-s", "2", "--max-t", "0"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
 
 
 def test_usage_error_exit_2(s1):

@@ -215,51 +215,6 @@ def test_localize_f2_open_seagull():
     assert e.shift == 0 and not e.exact
 
 
-def _reachable(obj, seen=None):
-    """Every object reachable from obj through dataclass fields and
-    containers, by id."""
-    seen = {} if seen is None else seen
-    if id(obj) in seen:
-        return seen
-    seen[id(obj)] = obj
-    if hasattr(obj, "__dataclass_fields__"):
-        children = [getattr(obj, f) for f in obj.__dataclass_fields__]
-    elif isinstance(obj, dict):
-        children = list(obj.keys()) + list(obj.values())
-    elif isinstance(obj, (list, tuple, set)):
-        children = list(obj)
-    else:
-        children = []
-    for child in children:
-        _reachable(child, seen)
-    return seen
-
-
-def test_localize_q0_builds_its_seagull_once_per_cutoff(monkeypatch):
-    structure._localizing_seagull.cache_clear()
-    m = direct_sum(seagull(2), a1core.f2(3))
-    calls = []
-    module = a1core.module
-    monkeypatch.setattr(a1core, "module",
-                        lambda *a, **k: calls.append(1) or module(*a, **k))
-    first = localize_q0(m, 30)
-    after_first = len(calls)
-    second = localize_q0(m, 30)
-    after_second = len(calls)
-    seagull_inf(30 - m.lo)
-    one_build = len(calls) - after_second
-    assert one_build > 0
-    assert after_first - (after_second - after_first) == one_build
-    assert first == second
-    # the cached seagull never reaches a caller: no module in either result,
-    # and the two share no mutable container
-    objs = [_reachable(r) for r in (first, second)]
-    assert not any(isinstance(o, a1core.A1Module)
-                   for seen in objs for o in seen.values())
-    shared = set(objs[0]) & set(objs[1])
-    assert not any(isinstance(objs[0][i], (list, dict, set)) for i in shared)
-
-
 def test_seagull_inf_localization_open():
     rep = classify(seagull_inf(24))
     e = rep.descriptor.seagulls[0]
