@@ -290,13 +290,16 @@ def test_size_option_limits(capsys, monkeypatch, s1, argv, dest, work,
 
 
 # on a module shifted far up or far down the limit moves with it: the option,
-# the call that would do the work, and the base it is measured from
+# the call that would do the work, and the base it is measured from (the
+# seagull's bottom degree is its --shift)
 SHIFTED = [
     (["localize", "{m}", "--cutoff"], "structure.localize_q0", "lo"),
     (["lift-check", "{m}", "--cutoff"], "davismahowald.lift_check", "lo"),
     (["ext", "{m}", "--max-s", "4", "--max-t"], "resolution.ext_dims", "lo"),
     (["towers", "{m}", "--max-stem"], "resolution.h0_tower_counts", "min0"),
     (["chart", "{m}", "--max-stem"], "resolution.h0_tower_counts", "min0"),
+    (["seagull", "--infinite", "--shift", "{by}", "--cutoff"],
+     "structure.seagull_inf", "lo"),
 ]
 
 
@@ -309,24 +312,9 @@ def test_size_option_limits_follow_the_module(capsys, monkeypatch, tmp_path,
     record(capsys, "suspend", s1, "--by", str(by), "-o", path)
     dest = argv[-1][2:].replace("-", "_")
     base = by if base == "lo" else min(by, 0)
-    argv = [a.format(m=path) for a in argv]
+    argv = [a.format(m=path, by=by) for a in argv]
     _starts_at_refuses_above(capsys, monkeypatch, argv, dest, work,
                              base + cli.LIMITS[dest], base)
-
-
-def test_shifted_limits_refuse_far_and_admit_near(capsys, tmp_path, s1):
-    # a request near a module shifted far up runs; a short stem range on a
-    # module shifted far down reaches far in filtration and is refused
-    up, down = str(tmp_path / "up.mod"), str(tmp_path / "down.mod")
-    record(capsys, "suspend", s1, "--by", "300", "-o", up)
-    record(capsys, "suspend", s1, "--by", "-2000", "-o", down)
-    rec = record(capsys, "ext", up, "--max-s", "2", "--max-t", "310")
-    assert rec["payload"]["dims"]["0,300"] == 1
-    assert record(capsys, "localize", up, "--cutoff", "320")["payload"]
-    for argv in (["towers", down, "--max-stem", "8"],
-                 ["ext", down, "--max-s", "2", "--max-t", "0"]):
-        code, out, _ = run(capsys, *argv)
-        assert code == 2 and out == ""
 
 
 def test_usage_error_exit_2(s1):
