@@ -31,7 +31,7 @@ __all__ = [
     "module", "module_from_edges", "validate", "f2", "free_module",
     "free_module_on", "zero_module",
     "direct_sum", "suspend", "truncate", "tensor", "dualize",
-    "apply_word", "linear_map_from_generators", "submodule_closure",
+    "apply_word", "linear_map_from_generators",
 ]
 
 # Additive basis: admissible words, indexed by composition (rightmost first).
@@ -308,6 +308,16 @@ def apply_word(m: A1Module, word: str, k: int, v: int) -> Tuple[int, int]:
     return k, v
 
 
+def _word_matrix(m: A1Module, word: str, k: int) -> BitMatrix:
+    """Matrix of a composite word (rightmost factor first) from degree k."""
+    out = None
+    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
+        sq = m.sq1 if word[i:i + 3] == "Sq1" else m.sq2
+        out = sq.mat(k) if out is None else sq.mat(k).mul(out)
+        k += sq.shift
+    return BitMatrix.identity(m.dim(k)) if out is None else out
+
+
 def f2(degree: int = 0) -> A1Module:
     """The one-dimensional trivial module concentrated in one degree."""
     return module({degree: ["1"]}, {}, {}, name="F2")
@@ -553,24 +563,3 @@ def linear_map_from_generators(source: A1Module, target: A1Module,
                                              [r >> n for r in graph])
     return GradedMap(source.space, target.space, shift, mats)
 
-
-def submodule_closure(m: A1Module, seeds: Dict[int, List[int]]) -> Dict[int, Subspace]:
-    """Degreewise span of the submodule generated by the seed vectors."""
-    out: Dict[int, Subspace] = {k: Subspace.zero(m.dim(k)) for k in m.space.degrees}
-    if not m.space.degrees:
-        return out
-    pending: Dict[int, List[int]] = {k: list(v) for k, v in seeds.items()}
-    for k in m.space.degrees:
-        vecs = pending.get(k, [])
-        if not vecs:
-            continue
-        out[k] = out[k].add(Subspace.span(vecs, m.dim(k)))
-        for shift, gmap in ((1, m.sq1), (2, m.sq2)):
-            kt = k + shift
-            if m.dim(kt) == 0:
-                continue
-            imgs = [gmap.apply(k, b) for b in out[k].basis]
-            imgs = [v for v in imgs if v]
-            if imgs:
-                pending.setdefault(kt, []).extend(imgs)
-    return out

@@ -14,7 +14,7 @@ ASCII output is line-stable; SVG output is well-formed XML.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from xml.etree import ElementTree as ET
 
 __all__ = ["towers_ascii", "towers_svg", "page_ascii", "page_svg"]
@@ -27,6 +27,18 @@ def _marker(sigma: int) -> str:
     return _MARKERS[(sigma // 2) % len(_MARKERS)]
 
 
+def _stem_axis(stems: Iterable[int], top: Optional[int] = None) -> range:
+    """The stems a chart shows: from the lowest stem or 0, whichever is
+    lower, to ``top`` (default: the highest stem; just 0 for no stems)."""
+    stems = list(stems) or [0]
+    return range(min(0, min(stems)), (max(stems) if top is None else top) + 1)
+
+
+def _column_width(stems: range) -> int:
+    """ASCII columns per stem: 3, or one more than the longest axis label."""
+    return max([3] + [len(str(stem)) + 1 for stem in stems])
+
+
 # ---------------------------------------------------------------------------
 # tower charts
 
@@ -34,19 +46,20 @@ def _marker(sigma: int) -> str:
 def towers_ascii(counts: Dict[int, int], max_stem: int) -> str:
     """Render h0-tower counts per stem; each tower is a vertical run of '|'
     topped with '^'."""
-    width = max_stem + 1
-    grid = [[" "] * (3 * width) for _ in range(_TOWER_HEIGHT)]
-    for stem in range(width):
+    stems = _stem_axis((s for s, n in counts.items() if n), max_stem)
+    w = _column_width(stems)
+    grid = [[" "] * (w * len(stems)) for _ in range(_TOWER_HEIGHT)]
+    for stem in stems:
         n = counts.get(stem, 0)
+        left = w * (stem - stems.start)
         for i in range(n):
-            col = 3 * stem + 1 + (i if n > 1 else 0)
-            col = min(col, 3 * stem + 2)
+            col = min(left + 1 + (i if n > 1 else 0), left + 2)
             for row in range(1, _TOWER_HEIGHT):
                 grid[row][col] = "|"
             grid[0][col] = "^"
     lines = ["".join(row).rstrip() for row in grid]
-    lines.append("-" * (3 * width))
-    axis = "".join(f"{stem:<3d}" for stem in range(width)).rstrip()
+    lines.append("-" * (w * len(stems)))
+    axis = "".join(f"{stem:<{w}d}" for stem in stems).rstrip()
     lines.append(axis)
     lines.append("stem ->")
     return "\n".join(lines) + "\n"
@@ -54,13 +67,14 @@ def towers_ascii(counts: Dict[int, int], max_stem: int) -> str:
 
 def towers_svg(counts: Dict[int, int], max_stem: int) -> str:
     cell, pad, height = 40, 30, 200
-    w = pad * 2 + cell * (max_stem + 1)
+    stems = _stem_axis((s for s, n in counts.items() if n), max_stem)
+    w = pad * 2 + cell * len(stems)
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
                      width=str(w), height=str(height + 2 * pad))
     ET.SubElement(svg, "line", x1=str(pad), y1=str(height + pad),
                   x2=str(w - pad), y2=str(height + pad), stroke="black")
-    for stem in range(max_stem + 1):
-        x = pad + cell * stem + cell // 2
+    for stem in stems:
+        x = pad + cell * (stem - stems.start) + cell // 2
         t = ET.SubElement(svg, "text", x=str(x), y=str(height + pad + 18))
         t.set("text-anchor", "middle")
         t.text = str(stem)
@@ -84,31 +98,25 @@ Class = Tuple[int, int, str]          # (stem, sigma, label)
 Arrow = Tuple[int, int, int, int]     # (stem, sigma) -> (stem', sigma')
 
 
-def _stem_axis(classes: Sequence[Class]) -> range:
-    """The stems a page shows: from the lowest stem or 0, whichever is
-    lower, to the highest (just 0 for an empty page)."""
-    stems = [c[0] for c in classes] or [0]
-    return range(min(0, min(stems)), max(stems) + 1)
-
-
 def page_ascii(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
     """One marker per class at (stem, sigma); marker shape keyed to sigma.
     Arrows are listed below the grid."""
     if not classes:
         return "(empty page)\n"
-    stems = _stem_axis(classes)
+    stems = _stem_axis(c[0] for c in classes)
+    w = _column_width(stems)
     max_sigma = max(c[1] for c in classes)
-    rows: List[List[str]] = [[" "] * (3 * len(stems))
+    rows: List[List[str]] = [[" "] * (w * len(stems))
                              for _ in range(max_sigma + 1)]
     for stem, sigma, _ in classes:
-        col = 3 * (stem - stems.start) + 1
+        col = w * (stem - stems.start) + 1
         cur = rows[sigma][col]
         rows[sigma][col] = _marker(sigma) if cur == " " else "+"
     lines = []
     for sigma in range(max_sigma, -1, -1):
         lines.append(f"{sigma:>3d} |" + "".join(rows[sigma]).rstrip())
-    lines.append("    +" + "-" * (3 * len(stems)))
-    axis = "".join(f"{stem:<3d}" for stem in stems).rstrip()
+    lines.append("    +" + "-" * (w * len(stems)))
+    axis = "".join(f"{stem:<{w}d}" for stem in stems).rstrip()
     lines.append("     " + axis)
     lines.append("     stem ->   (vertical: sigma)")
     for a, b, c, d in arrows:
@@ -119,7 +127,7 @@ def page_ascii(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
 def page_svg(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
     """The page as SVG, on the stem axis of ``page_ascii``."""
     cell, pad = 40, 30
-    stems = _stem_axis(classes)
+    stems = _stem_axis(c[0] for c in classes)
     max_sigma = max((c[1] for c in classes), default=0)
     w = 2 * pad + cell * len(stems)
     h = 2 * pad + cell * (max_sigma + 1)

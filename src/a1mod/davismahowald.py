@@ -9,13 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (A1Module, GradedMap, apply_word, dualize, f2,
-                     free_module_on, linear_map_from_generators,
+from .a1core import (A1Module, GradedMap, _word_matrix, apply_word, dualize,
+                     f2, free_module_on, linear_map_from_generators,
                      module_from_edges, tensor)
 from .errors import ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, complement, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
-from .structure import _word_matrix, default_cutoff, localize_q0, seagull
+from .structure import default_cutoff, localize_q0, seagull
 
 __all__ = [
     "NSigma", "DMComplexStage", "InjectiveStage",

@@ -11,8 +11,8 @@ free and files it there; a row that reduces to zero lies in the span of
 the rows inserted before it.  Bits above a ``mask`` are tracked rather than
 eliminated: inserting ``v | t << n`` with the mask on the low n bits carries
 the tag t through every reduction, so a row that reduces to zero on the
-mask names in its tracked bits the combination that vanished.  ``solve``,
-``intersect`` and the minimal resolution read their answers off such tags.
+mask names in its tracked bits the combination that vanished.  ``solve``
+and the minimal resolution read their answers off such tags.
 ``canonical`` clears each pivot bit from every other row of the table.
 Sorted by pivot, these rows are the reduced echelon basis with lowest-bit
 pivots, which depends only on the span: equal subspaces have equal
@@ -29,7 +29,7 @@ from .errors import ShapeMismatch
 __all__ = [
     "BitMatrix", "Subspace",
     "popcount", "dot", "insert", "canonical",
-    "rank", "solve", "kernel", "image", "intersect", "complement",
+    "rank", "solve", "kernel", "image", "complement",
 ]
 
 
@@ -248,23 +248,6 @@ def kernel(a: BitMatrix) -> Subspace:
 def image(a: BitMatrix) -> Subspace:
     """Column space of a, inside F_2^rows."""
     return Subspace.span(a.transpose().data, a.rows)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Zassenhaus: each row a of s1 is inserted tracking a copy of itself, the
-    rows of s2 tracking nothing; a row of s2 that reduces to zero tracks a
-    vector of both, and these span the intersection."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ShapeMismatch("intersection across different ambient spaces")
-    n = s1.ambient_dim
-    mask = (1 << n) - 1
-    pivots = {a & -a: a | a << n for a in s1.basis}
-    common = []
-    for b in s2.basis:
-        row = insert(pivots, b, mask)
-        if not row & mask:
-            common.append(row >> n)
-    return Subspace.span(common, n)
 
 
 def complement(inner: Subspace, outer: Subspace) -> List[int]:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
-                     direct_sum, free_module, module, module_from_edges,
-                     submodule_closure, tensor, truncate, zero_module)
+                     _word_matrix, apply_word, direct_sum, free_module, module,
+                     module_from_edges, tensor, truncate, zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import BitMatrix, Subspace, complement, kernel, solve
 from .margolis import is_q0_local
@@ -105,16 +105,6 @@ def seagull_inf(cutoff: int, shift: int = 0) -> A1Module:
         raise TruncationTooTight("infinite seagull needs at least one full wing")
     wings = (cutoff - shift) // 4 + 1
     return truncate(seagull(wings, shift), cutoff)
-
-
-def _word_matrix(m: A1Module, word: str, k: int) -> BitMatrix:
-    """Matrix of a composite word (rightmost factor first) from degree k."""
-    out = None
-    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
-        sq = m.sq1 if word[i:i + 3] == "Sq1" else m.sq2
-        out = sq.mat(k) if out is None else sq.mat(k).mul(out)
-        k += sq.shift
-    return BitMatrix.identity(m.dim(k)) if out is None else out
 
 
 def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
@@ -209,6 +199,17 @@ def classify(m: A1Module) -> DecompositionReport:
     """Decompose a bounded-below Q0-local module into seagulls plus a free
     part, by induction over degrees.
 
+    The induction keeps C, the submodule generated by the seagull and
+    unresolved generators chosen so far, and grows it one degree at a time.
+    A(1) is generated by Sq1 and Sq2, so every word of positive degree is
+    Sq1 or Sq2 times a shorter word; hence the part of C in degree k
+    generated below k is
+
+        C_k = span(Sq1 C_(k-1) + Sq2 C_(k-2)),
+
+    and C_(k-1) and C_(k-2) are final once degree k is reached.  The
+    generators chosen in degree k then widen C_k.
+
     Raises NotQ0Local when the module has Q1-homology in the reliable window
     or when the inductive invariants fail outside the truncation boundary,
     and TruncationTooTight for a module truncated below: the induction
@@ -222,32 +223,30 @@ def classify(m: A1Module) -> DecompositionReport:
         raise NotQ0Local(verdict.witness_degree)
     cut = red.truncated_above
 
-    degrees = red.space.degrees
     seagulls: List[Dict] = []  # {"gens": [(deg, vec)], "alpha": int}
     residue: List[int] = []
-    sub: Dict[int, Subspace] = {k: Subspace.zero(red.dim(k)) for k in degrees}
+    sub: Dict[int, Tuple[int, ...]] = {}  # degree -> basis of C there
 
-    def in_zone(k: int) -> bool:
-        return cut is not None and k > cut - BOUNDARY
+    def unresolved(k: int, note: str, reason: str) -> None:
+        """A generator of degree k that joins no seagull: residue in the
+        boundary zone below the cutoff, a failed invariant elsewhere."""
+        if cut is None or k <= cut - BOUNDARY:
+            raise NotQ0Local(k, reason)
+        residue.append(k)
+        log.append(f"degree {k}: {note} near cutoff")
 
-    def wing_visible(k: int) -> bool:
-        return cut is None or k + 5 <= cut
-
-    def close_over(k: int, vecs: List[int]) -> None:
-        grown = submodule_closure(red, {k: vecs})
-        for d in degrees:
-            if grown[d].dim:
-                sub[d] = sub[d].add(grown[d])
-
-    for k in degrees:
+    for k in red.space.degrees:
         dk = red.dim(k)
         if dk == 0:
             continue
+        base = Subspace.span(
+            [red.sq1.apply(k - 1, v) for v in sub.get(k - 1, ())]
+            + [red.sq2.apply(k - 2, v) for v in sub.get(k - 2, ())], dk)
+        sub[k] = base.basis
         if cut is not None and k + 1 > cut:
             ker_k = Subspace.full(dk)      # the differential out of k is unseen
         else:
             ker_k = kernel(red.sq1.mat(k))
-        base = sub.get(k, Subspace.zero(dk))
         base_plus_ker = base.add(ker_k)
         kernel_gens = complement(base, base_plus_ker)
         other_gens = complement(base_plus_ker, Subspace.full(dk))
@@ -257,27 +256,20 @@ def classify(m: A1Module) -> DecompositionReport:
 
         for b in kernel_gens:
             new_vectors.append(b)
-            if wing_visible(k):
-                wing = _word_matrix(red, "Sq2Sq1Sq2", k).apply(b)
-                if wing:
-                    seagulls.append({"alpha": k, "gens": [(k, b)]})
-                    continue
-            if in_zone(k):
-                residue.append(k)
-                log.append(f"degree {k}: unresolved kernel generator near cutoff")
-            else:
-                raise NotQ0Local(k, "kernel class with vanishing Sq2Sq1Sq2")
+            if ((cut is None or k + 5 <= cut)
+                    and apply_word(red, "Sq2Sq1Sq2", k, b)[1]):
+                seagulls.append({"alpha": k, "gens": [(k, b)]})
+                continue
+            unresolved(k, "unresolved kernel generator",
+                       "kernel class with vanishing Sq2Sq1Sq2")
 
         for b in other_gens:
-            ok, b_hat, hit = _adjust_and_match(red, sub, seagulls, lengthened,
-                                               k, b)
+            ok, b_hat, hit = _adjust_and_match(red, sub, seagulls, k, b)
             if not ok:
                 new_vectors.append(b)
-                if in_zone(k):
-                    residue.append(k)
-                    log.append(f"degree {k}: unresolved generator near cutoff")
-                    continue
-                raise NotQ0Local(k, "generator cannot be matched to the flock")
+                unresolved(k, "unresolved generator",
+                           "generator cannot be matched to the flock")
+                continue
             # fold in this round's lengthened seagulls, keep only available ones
             avail_hit = []
             for i in hit:
@@ -287,28 +279,20 @@ def classify(m: A1Module) -> DecompositionReport:
                     avail_hit.append(i)
             if not avail_hit:
                 new_vectors.append(b)
-                if in_zone(k):
-                    residue.append(k)
-                    log.append(f"degree {k}: no available seagull near cutoff")
-                    continue
-                raise NotQ0Local(k, "no available seagull to extend")
+                unresolved(k, "no available seagull",
+                           "no available seagull to extend")
+                continue
             p = min(avail_hit, key=lambda i: seagulls[i]["alpha"])
-            merged: List[Tuple[int, int]] = []
-            degs_present = sorted({d for i in avail_hit
-                                   for d, _ in seagulls[i]["gens"]})
-            for d in degs_present:
-                v = 0
-                for i in avail_hit:
-                    for dd, vv in seagulls[i]["gens"]:
-                        if dd == d:
-                            v ^= vv
-                merged.append((d, v))
-            seagulls[p]["gens"] = merged + [(k, b_hat)]
+            merged: Dict[int, int] = {}
+            for i in avail_hit:
+                for d, v in seagulls[i]["gens"]:
+                    merged[d] = merged.get(d, 0) ^ v
+            seagulls[p]["gens"] = sorted(merged.items()) + [(k, b_hat)]
             lengthened.append(p)
             new_vectors.append(b_hat)
 
         if new_vectors:
-            close_over(k, new_vectors)
+            sub[k] = Subspace.span(base.basis + tuple(new_vectors), dk).basis
 
     entries = []
     witnesses = []
@@ -325,22 +309,17 @@ def classify(m: A1Module) -> DecompositionReport:
     return DecompositionReport(desc, witnesses, residue, log)
 
 
-def _adjust_and_match(red, sub, seagulls, lengthened, k, b):
-    """Adjust b by an element of the current submodule so that Sq1 b lies in
-    the image of Sq2Sq1Sq2 on degree k-4 seagull generators, and express it
-    there.  Returns (ok, adjusted b, hit seagull indices)."""
+def _adjust_and_match(red, sub, seagulls, k, b):
+    """Adjust b by an element of the current submodule (``sub`` holds its
+    basis per degree) so that Sq1 b lies in the image of Sq2Sq1Sq2 on
+    degree k-4 seagull generators, and express it there.  Returns (ok,
+    adjusted b, hit seagull indices)."""
     dk1 = red.dim(k + 1)
     target = red.sq1.apply(k, b)
     # step 1: write Sq1 b = Sq1 a + Sq2 c with a, c in the submodule
-    base_k = sub.get(k)
-    base_km1 = sub.get(k - 1, Subspace.zero(red.dim(k - 1)))
-    cols: List[int] = []
-    a_vecs = list(base_k.basis)
-    for v in a_vecs:
-        cols.append(red.sq1.apply(k, v))
-    c_vecs = list(base_km1.basis)
-    for v in c_vecs:
-        cols.append(red.sq2.apply(k - 1, v))
+    a_vecs = sub[k]
+    cols = ([red.sq1.apply(k, v) for v in a_vecs]
+            + [red.sq2.apply(k - 1, v) for v in sub.get(k - 1, ())])
     x = solve(BitMatrix.from_columns(dk1, cols), target)
     if x is None:
         return False, b, []

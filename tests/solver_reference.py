@@ -13,10 +13,9 @@ blocks.  The tests compare each pair on the same inputs.
 from typing import Dict, List, Optional, Tuple
 
 from a1mod.a1core import (A1Module, GradedMap, GradedSpace, _bound, _extent,
-                          _shifted, module, zero_module)
+                          _shifted, _word_matrix, module, zero_module)
 from a1mod.errors import ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix
-from a1mod.structure import _word_matrix
 
 
 def eliminate(rows: List[int], cols: int) -> Tuple[List[int], List[int]]:
@@ -86,15 +85,6 @@ def complement_reference(inner: Tuple[int, ...], outer: Tuple[int, ...],
             current = reduced
             picked.append(v)
     return picked
-
-
-def intersect_reference(b1: Tuple[int, ...], b2: Tuple[int, ...],
-                        n: int) -> Tuple[int, ...]:
-    """The common kernel of the annihilators of both spans."""
-    def annihilator(basis):
-        return list(kernel_reference(BitMatrix(len(basis), n, tuple(basis))))
-    ann = annihilator(b1) + annihilator(b2)
-    return kernel_reference(BitMatrix(len(ann), n, tuple(ann)))
 
 
 def _solve_packed(rows: List[int], rhs: List[int], n: int):

@@ -8,7 +8,7 @@ from a1mod import a1core, structure
 from a1mod.a1core import (DUAL_WORD, LMUL, TOP_WORD, WORD_DEGREE, WORDS,
                           apply_word, direct_sum, dualize, f2, free_module,
                           free_module_on, linear_map_from_generators, module,
-                          module_from_edges, submodule_closure, suspend, tensor,
+                          module_from_edges, suspend, tensor,
                           truncate, validate)
 from a1mod.errors import RelationViolation, ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix, Subspace, rank
@@ -276,15 +276,6 @@ def test_linear_map_matches_the_reference_solve():
             continue
         got = linear_map_from_generators(src, tgt, gens, values)
         assert all(got.mat(k) == want.mat(k) for k in src.space.degrees)
-
-
-def test_submodule_closure():
-    a1 = free_module()
-    closed = submodule_closure(a1, {0: [1]})
-    assert sum(sp.dim for sp in closed.values()) == 8
-    # the top wing alone generates only itself
-    closed = submodule_closure(a1, {6: [1]})
-    assert sum(sp.dim for sp in closed.values()) == 1
 
 
 def test_tensor_keeps_truncated_below():

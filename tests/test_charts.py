@@ -30,6 +30,23 @@ def test_page_ascii_markers_and_arrows():
     assert "o" in lines[2] and "#" in lines[0]
 
 
+def test_ascii_axis_widens_for_long_labels():
+    text = page_ascii([(-12, 0, "a"), (-9, 2, "b")])
+    lines = text.splitlines()
+    assert lines[-2] == "     -12 -11 -10 -9"
+    assert lines[0] == "  2 |             #"
+    assert lines[2] == "  0 | o"
+    axis = page_ascii([(101, 0, "a")]).splitlines()[-2]
+    assert axis.endswith(" 99  100 101")
+    assert towers_ascii({100: 1}, 101).splitlines()[-2].endswith("100 101")
+
+
+def test_towers_svg_shows_negative_stems():
+    root = ET.fromstring(towers_svg({-2: 1}, 8))
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == [str(s) for s in range(-2, 9)]
+
+
 def test_page_ascii_empty():
     assert page_ascii([]) == "(empty page)\n"
 

@@ -124,6 +124,18 @@ def test_chart_ascii_golden(capsys, s1):
         "stem ->\n")
 
 
+def test_chart_towers_in_negative_stems(capsys, tmp_path):
+    path = tmp_path / "f2.mod"
+    path.write_text("module F2\ngen 1 -2\n")
+    rec = record(capsys, "towers", str(path), "--max-stem", "8")
+    assert rec["payload"]["towers"] == {"-2": 1, "2": 1, "6": 1}
+    rec = record(capsys, "chart", str(path), "--kind", "towers",
+                 "--max-stem", "8")
+    lines = rec["payload"]["chart"].splitlines()
+    assert lines[0] == " ^           ^           ^"
+    assert lines[-2] == "-2 -1 0  1  2  3  4  5  6  7  8"
+
+
 def test_chart_svg_wellformed(capsys, s1, tmp_path):
     out = tmp_path / "chart.svg"
     record(capsys, "chart", s1, "--kind", "e2", "--format", "svg",

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, davismahowald, f2linalg, margolis, structure
-from a1mod.a1core import (apply_word, direct_sum, f2, free_module, suspend,
-                          tensor, validate)
+from a1mod.a1core import (_word_matrix, apply_word, direct_sum, f2,
+                          free_module, suspend, tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
                                  check_dm_exactness, check_injective_exactness,
                                  d2, e1_page, e3_page, lift_check,
@@ -185,7 +185,7 @@ def _assert_homotopy(m, res):
         if m.truncated_above is not None and k + 5 > m.truncated_above:
             continue
         lhs = m.sq1.mat(k + 4).mul(s4(k)).add(s4(k + 1).mul(m.sq1.mat(k)))
-        assert lhs == structure._word_matrix(m, "Sq2Sq1Sq2", k)
+        assert lhs == _word_matrix(m, "Sq2Sq1Sq2", k)
 
 
 def test_sq4_solution_satisfies_relation():
