@@ -19,11 +19,10 @@ edges between them, and goes through ``module_from_edges``;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RelationViolation, ShapeMismatch, TruncationTooTight
-from .f2linalg import BitMatrix, Subspace
+from .f2linalg import BitMatrix, Subspace, mul_rows
 
 __all__ = [
     "WORDS", "WORD_DEGREE", "LMUL", "TOP_WORD", "DUAL_WORD",
@@ -261,37 +260,31 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
     return module(labels, mats(sq1_edges, 1), mats(sq2_edges, 2), **module_kwargs)
 
 
-def _product(*factors: Optional[BitMatrix]) -> Optional[BitMatrix]:
-    """The product of the factors (the rightmost acting first), or None
-    for the zero map when one is absent."""
-    return None if None in factors else reduce(BitMatrix.mul, factors)
-
-
-def _vanishes(*products: Optional[BitMatrix]) -> bool:
-    """Whether the sum of the products is zero, None being the zero map."""
-    present = [p for p in products if p is not None]
-    return not present or reduce(BitMatrix.add, present).is_zero()
-
-
 def validate(m: A1Module) -> None:
     """Check the two defining relations on every checkable degree.
 
-    Degree k is checked with the products of the structure matrices
-    leaving degrees k..k+3, at most four matrix products per degree, so the
-    cost is linear in the number of degrees; a product with an absent
-    factor is zero and is skipped.  Sq1 Sq1 is checked before Sq2 Sq2 at
-    each degree, lowest degree first; the first failure raises
-    ``RelationViolation``.
+    Degree k is checked on the rows of the structure matrices leaving
+    degrees k..k+3 (``f2linalg.mul_rows``): the rows of Sq1 Sq1 must all be
+    zero, and the rows of Sq2 Sq2 must equal those of Sq1 Sq2 Sq1.  That is
+    at most four row products per degree, so the cost is linear in the
+    number of degrees; a product with an absent factor is zero and is not
+    formed.  Sq1 Sq1 is checked before Sq2 Sq2 at each degree, lowest
+    degree first; the first failure raises ``RelationViolation``.
     """
-    sq1, sq2 = m.sq1.mats.get, m.sq2.mats.get
+    sq1 = {k: mat.data for k, mat in m.sq1.mats.items()}.get
+    sq2 = {k: mat.data for k, mat in m.sq2.mats.items()}.get
     cut = m.truncated_above
     for k in m.space.degrees:
         if cut is None or k + 2 <= cut:
-            if not _vanishes(_product(sq1(k + 1), sq1(k))):
+            a, b = sq1(k + 1), sq1(k)
+            if a is not None and b is not None and any(mul_rows(a, b)):
                 raise RelationViolation(k, "Sq1 Sq1 = 0")
         if cut is None or k + 4 <= cut:
-            if not _vanishes(_product(sq2(k + 2), sq2(k)),
-                             _product(sq1(k + 3), sq2(k + 1), sq1(k))):
+            a, b = sq2(k + 2), sq2(k)
+            lhs = None if a is None or b is None else mul_rows(a, b)
+            a, b, c = sq1(k + 3), sq2(k + 1), sq1(k)
+            rhs = None if None in (a, b, c) else mul_rows(mul_rows(a, b), c)
+            if lhs != rhs and (any(lhs or ()) or any(rhs or ())):
                 raise RelationViolation(k, "Sq2 Sq2 = Sq1 Sq2 Sq1")
 
 

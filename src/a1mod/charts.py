@@ -47,13 +47,13 @@ def towers_ascii(counts: Dict[int, int], max_stem: int) -> str:
     """Render h0-tower counts per stem; each tower is a vertical run of '|'
     topped with '^'."""
     stems = _stem_axis((s for s, n in counts.items() if n), max_stem)
-    w = _column_width(stems)
+    # one column per tower, after a blank one
+    w = max([_column_width(stems)] + [counts.get(s, 0) + 1 for s in stems])
     grid = [[" "] * (w * len(stems)) for _ in range(_TOWER_HEIGHT)]
     for stem in stems:
-        n = counts.get(stem, 0)
         left = w * (stem - stems.start)
-        for i in range(n):
-            col = min(left + 1 + (i if n > 1 else 0), left + 2)
+        for i in range(counts.get(stem, 0)):
+            col = left + 1 + i
             for row in range(1, _TOWER_HEIGHT):
                 grid[row][col] = "|"
             grid[0][col] = "^"

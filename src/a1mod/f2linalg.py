@@ -28,7 +28,7 @@ from .errors import ShapeMismatch
 
 __all__ = [
     "BitMatrix", "Subspace",
-    "popcount", "dot", "insert", "canonical",
+    "popcount", "dot", "mul_rows", "insert", "canonical",
     "rank", "solve", "kernel", "image", "complement",
 ]
 
@@ -109,15 +109,8 @@ class BitMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by "
                                 f"{other.rows}x{other.cols}")
-        out = []
-        for r in self.data:
-            acc = 0
-            while r:
-                low = r & -r
-                acc ^= other.data[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
+        return BitMatrix(self.rows, other.cols,
+                         tuple(mul_rows(self.data, other.data)))
 
     def add(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -136,6 +129,21 @@ class BitMatrix:
             rows.extend(r << col_off for r in b.data)
             col_off += b.cols
         return BitMatrix(sum(b.rows for b in blocks), col_off, tuple(rows))
+
+
+def mul_rows(left: Sequence[int], right: Sequence[int]) -> List[int]:
+    """The rows of the product of two matrices given by their rows: row i
+    is the XOR of the rows of ``right`` picked by the set bits of row i of
+    ``left``, one XOR per set bit.  Shapes are the caller's to check."""
+    out = []
+    for r in left:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= right[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return out
 
 
 def insert(pivots: Dict[int, int], row: int, mask: int) -> int:

@@ -78,11 +78,8 @@ class DecompositionReport:
     log: List[str] = field(default_factory=list)
 
 
-def seagull(n: int, shift: int = 0) -> A1Module:
-    """The length-n seagull; 4n-dimensional with one class in each of the
-    degrees 4j, 4j+2, 4j+3, 4j+5 for j = 0..n-1."""
-    if n < 1:
-        raise ValueError("seagull length must be positive")
+def _seagull_cells(n: int, shift: int):
+    """The cells and the Sq1 and Sq2 edges of the length-n seagull."""
     cells: List[Tuple[str, int]] = []
     sq1: List[Tuple[str, str]] = []
     sq2: List[Tuple[str, str]] = []
@@ -95,16 +92,35 @@ def seagull(n: int, shift: int = 0) -> A1Module:
         sq2 += [(g, s2), (s12, s212)]
         if j > 0:
             sq1.append((g, f"Sq2Sq1Sq2g{base - 4}"))
-    return module_from_edges(cells, sq1, sq2, name=f"seagull({n})+{shift}"
-                             if shift else f"seagull({n})")
+    return cells, sq1, sq2
+
+
+def _seagull_name(n: int, shift: int) -> str:
+    return f"seagull({n})+{shift}" if shift else f"seagull({n})"
+
+
+def seagull(n: int, shift: int = 0) -> A1Module:
+    """The length-n seagull; 4n-dimensional with one class in each of the
+    degrees 4j, 4j+2, 4j+3, 4j+5 for j = 0..n-1."""
+    if n < 1:
+        raise ValueError("seagull length must be positive")
+    return module_from_edges(*_seagull_cells(n, shift),
+                             name=_seagull_name(n, shift))
 
 
 def seagull_inf(cutoff: int, shift: int = 0) -> A1Module:
-    """The infinite seagull, truncated above the given cutoff."""
+    """The infinite seagull, truncated above the given cutoff: the cells in
+    degrees up to the cutoff of the seagull with a wing starting at every
+    shift + 4j up to the cutoff, and the edges between them."""
     if cutoff < shift + 5:
         raise TruncationTooTight("infinite seagull needs at least one full wing")
     wings = (cutoff - shift) // 4 + 1
-    return truncate(seagull(wings, shift), cutoff)
+    cells, sq1, sq2 = _seagull_cells(wings, shift)
+    kept = {label for label, deg in cells if deg <= cutoff}
+    return module_from_edges(
+        [c for c in cells if c[0] in kept],
+        [e for e in sq1 if e[1] in kept], [e for e in sq2 if e[1] in kept],
+        truncated_above=cutoff, name=_seagull_name(wings, shift))
 
 
 def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
@@ -248,7 +264,7 @@ def classify(m: A1Module) -> DecompositionReport:
         else:
             ker_k = kernel(red.sq1.mat(k))
         base_plus_ker = base.add(ker_k)
-        kernel_gens = complement(base, base_plus_ker)
+        kernel_gens = complement(base, ker_k)
         other_gens = complement(base_plus_ker, Subspace.full(dk))
 
         lengthened: List[int] = []  # indices of seagulls extended this degree
@@ -263,8 +279,12 @@ def classify(m: A1Module) -> DecompositionReport:
             unresolved(k, "unresolved kernel generator",
                        "kernel class with vanishing Sq2Sq1Sq2")
 
+        if other_gens:  # both systems are fixed until sub[k] grows
+            step1 = _step1_system(red, sub, k)
+            wing = _word_matrix(red, "Sq2Sq1Sq2", k - 4)
         for b in other_gens:
-            ok, b_hat, hit = _adjust_and_match(red, sub, seagulls, k, b)
+            ok, b_hat, hit = _adjust_and_match(red, sub[k], step1, wing,
+                                               seagulls, k, b)
             if not ok:
                 new_vectors.append(b)
                 unresolved(k, "unresolved generator",
@@ -309,18 +329,31 @@ def classify(m: A1Module) -> DecompositionReport:
     return DecompositionReport(desc, witnesses, residue, log)
 
 
-def _adjust_and_match(red, sub, seagulls, k, b):
-    """Adjust b by an element of the current submodule (``sub`` holds its
-    basis per degree) so that Sq1 b lies in the image of Sq2Sq1Sq2 on
-    degree k-4 seagull generators, and express it there.  Returns (ok,
-    adjusted b, hit seagull indices)."""
+def _step1_system(red, sub, k):
+    """Sq1 on the basis of C_k beside Sq2 on that of C_(k-1), as the
+    columns of one matrix: the system of step 1 of ``_adjust_and_match``
+    in degree k.  It is [Sq1 | Sq2] times the block-diagonal matrix of the
+    two bases, one product."""
+    dk = red.dim(k)
+    ops = BitMatrix(red.dim(k + 1), dk + red.dim(k - 1), tuple(
+        x | y << dk for x, y in zip(red.sq1.mat(k).data,
+                                    red.sq2.mat(k - 1).data)))
+    return ops.mul(BitMatrix.block_diag([
+        BitMatrix.from_columns(dk, sub[k]),
+        BitMatrix.from_columns(red.dim(k - 1), sub.get(k - 1, ()))]))
+
+
+def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
+    """Adjust b by an element of the current submodule so that Sq1 b lies
+    in the image of Sq2Sq1Sq2 on degree k-4 seagull generators, and
+    express it there.  ``a_vecs`` is the submodule's basis in degree k,
+    ``step1`` the system of ``_step1_system`` and ``wing`` the matrix of
+    Sq2Sq1Sq2 on degree k-4.  Returns (ok, adjusted b, hit seagull
+    indices)."""
     dk1 = red.dim(k + 1)
     target = red.sq1.apply(k, b)
     # step 1: write Sq1 b = Sq1 a + Sq2 c with a, c in the submodule
-    a_vecs = sub[k]
-    cols = ([red.sq1.apply(k, v) for v in a_vecs]
-            + [red.sq2.apply(k - 1, v) for v in sub.get(k - 1, ())])
-    x = solve(BitMatrix.from_columns(dk1, cols), target)
+    x = solve(step1, target)
     if x is None:
         return False, b, []
     b_hat = b
@@ -334,7 +367,6 @@ def _adjust_and_match(red, sub, seagulls, k, b):
     if rhs == 0:
         # cannot happen for a generator outside ker + submodule
         return False, b_hat, []
-    wing = _word_matrix(red, "Sq2Sq1Sq2", k - 4)
     ccols = []
     for i in cand:
         gvec = next(v for d, v in seagulls[i]["gens"] if d == k - 4)

@@ -137,13 +137,13 @@ def test_relation_checks_respect_the_truncation_cutoff():
 
 
 def test_validate_work_is_linear_in_degrees(monkeypatch):
-    # a count, not a timing: at most four products per degree
-    mul = BitMatrix.mul
+    # a count, not a timing: at most four row products per degree
+    mul_rows = a1core.mul_rows
     for n in (4, 16):
         m = structure.seagull(n)
         calls = []
-        monkeypatch.setattr(BitMatrix, "mul",
-                            lambda a, b: calls.append(1) or mul(a, b))
+        monkeypatch.setattr(a1core, "mul_rows",
+                            lambda a, b: calls.append(1) or mul_rows(a, b))
         validate(m)
         monkeypatch.undo()
         assert 0 < len(calls) <= 4 * len(m.space.degrees)

@@ -21,6 +21,19 @@ def test_towers_ascii_multiplicity():
     assert text.splitlines()[0].count("^") == 2
 
 
+def test_towers_ascii_widens_columns_for_counts():
+    assert towers_ascii({0: 3, 1: 1}, 2) == (
+        " ^^^ ^\n"
+        " ||| |\n"
+        " ||| |\n"
+        " ||| |\n"
+        " ||| |\n"
+        " ||| |\n"
+        "------------\n"
+        "0   1   2\n"
+        "stem ->\n")
+
+
 def test_page_ascii_markers_and_arrows():
     text = page_ascii([(0, 0, "a"), (5, 0, "b"), (4, 2, "c")],
                       [(5, 0, 4, 2)])

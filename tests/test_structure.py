@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from a1mod import a1core, davismahowald, structure
 from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, _word_matrix,
                           apply_word,
-                          direct_sum, dualize, free_module, suspend, tensor)
-from a1mod.errors import IncomparableCutoffs, TruncationTooTight
+                          direct_sum, dualize, free_module, suspend, tensor,
+                          truncate)
+from a1mod.errors import IncomparableCutoffs, NotQ0Local, TruncationTooTight
 from a1mod.f2linalg import Subspace, dot, image, kernel, rank
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
                              localize_q0, realize, seagull, seagull_inf,
                              stably_equivalent, strip_free)
-from random_modules import random_automorphism
+from random_modules import random_automorphism, random_module
 
 
 def test_seagull_dims():
@@ -66,6 +67,52 @@ def test_classify_work_is_linear_in_degrees(monkeypatch):
         made.clear()
         classify(m)
         assert len(made) <= 10 * len(m.space.degrees), n
+
+
+def test_classify_builds_one_step1_system_per_degree(monkeypatch):
+    # the step-1 system and the wing matrix are fixed for a degree, so the
+    # per-generator work applies no structure map to the submodule's basis
+    for n in (2, 3):
+        m = tensor(seagull(n), seagull(n))
+        local = tensor(seagull_inf(structure.default_cutoff(m) - m.lo), m)
+        calls = []
+        apply = a1core.GradedMap.apply
+        monkeypatch.setattr(a1core.GradedMap, "apply", lambda self, k, v: (
+            calls.append(1) or apply(self, k, v)))
+        classify(local)
+        monkeypatch.undo()
+        assert len(calls) <= local.space.total_dim(), n
+
+
+def test_bottom_witnesses_lie_in_the_kernel_of_sq1():
+    # Sq1 g = 0 for the bottom generator g of a seagull, so its witness
+    # in the reduced module must satisfy the same relation
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(150):
+        m = random_module(rng, truncated=False)
+        try:
+            rep = classify(m)
+        except NotQ0Local:
+            continue
+        red, _ = strip_free(m)
+        for gens in rep.witnesses:
+            k, v = gens[0]
+            assert red.sq1.apply(k, v) == 0, (k, v)
+            checked += 1
+    assert checked
+
+
+def test_seagull_inf_is_the_truncated_seagull():
+    for shift in range(-6, 7):
+        for cutoff in range(max(5, shift + 5), 80):
+            got = seagull_inf(cutoff, shift)
+            want = truncate(seagull((cutoff - shift) // 4 + 1, shift), cutoff)
+            assert got.space == want.space, (cutoff, shift)
+            assert got.sq1.mats == want.sq1.mats, (cutoff, shift)
+            assert got.sq2.mats == want.sq2.mats, (cutoff, shift)
+            assert (got.truncated_above, got.truncated_below, got.name) == \
+                (want.truncated_above, want.truncated_below, want.name)
 
 
 def test_strip_free():
