@@ -129,7 +129,8 @@ class GradedMap:
     """A degree-``shift`` linear map between graded spaces.
 
     ``mats[k]`` sends degree k of the source to degree k + shift of the
-    target; missing degrees mean the zero map.
+    target; missing degrees mean the zero map, whose matrix ``mat`` builds
+    once per degree and keeps apart from ``mats``.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, shift: int,
@@ -144,11 +145,16 @@ class GradedMap:
                     f"map at degree {k}: got {m.rows}x{m.cols}, expected "
                     f"{target.dim(k + shift)}x{source.dim(k)}")
             self.mats[k] = m
+        self._zeros: Dict[int, BitMatrix] = {}
 
     def mat(self, k: int) -> BitMatrix:
-        if k in self.mats:
-            return self.mats[k]
-        return BitMatrix.zeros(self.target.dim(k + self.shift), self.source.dim(k))
+        m = self.mats.get(k)
+        if m is None:
+            m = self._zeros.get(k)
+            if m is None:
+                m = self._zeros[k] = BitMatrix.zeros(
+                    self.target.dim(k + self.shift), self.source.dim(k))
+        return m
 
     def apply(self, k: int, v: int) -> int:
         return self.mat(k).apply(v)

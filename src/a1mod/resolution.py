@@ -1,12 +1,15 @@
 """Minimal free resolutions over the exterior algebra on Sq1 and over the
 full Sq1,Sq2 subalgebra, with generator-count charts and tower counting
 along fixed stems.
+
+``_PRODUCT`` is A(1)'s multiplication on the word basis, built once from
+``a1core._times``: a stage acts on the cells of the stage below through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .a1core import WORD_DEGREE, WORDS, A1Module, _times, apply_word
 from .errors import NotStabilized, TruncationTooTight
@@ -20,6 +23,11 @@ __all__ = [
 # The exterior algebra on Sq1 is spanned by the first two words of A(1), and
 # its products are those of A(1).
 _ALGEBRAS = {"a0": WORDS[:2], "a1": WORDS}
+
+# A(1)'s multiplication on the word basis: _PRODUCT[w][u] is the word w u,
+# None when the product vanishes.
+_PRODUCT: Dict[str, Dict[str, Optional[str]]] = {
+    w: {u: _times(w, u) for u in WORDS} for w in WORDS}
 
 
 @dataclass
@@ -52,14 +60,21 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
     to ``max_t``.  Generator counts give the dimensions of Ext groups.
 
     Each stage is built degree by degree.  In degree t its cells w g
-    (|w| > 0, g below t) map to w d(g): ``apply_word`` on the module at
-    s = 0, the product w (g', u) = (g', w u) in the previous stage after.
-    One elimination takes each cell's image with the cell's bit above the
-    target's n bits.  Each vector the stage must cover (the module, then
-    the previous kernel) that it does not reduce to zero becomes a new
-    generator.  The cells' rows that it reduces to zero span the kernel in
-    degree t, since the generators' values are independent modulo the image
-    of the cells.
+    (|w| > 0, g below t) map to w d(g), formed when g becomes a generator:
+    ``apply_word`` on the module at s = 0, the product w (g', u) = (g', w u)
+    in the previous stage after.  That product is read off ``_PRODUCT``,
+    and its bit off a map from each generator's words to the bits of its
+    cells, filled in as the cells are filed.  One elimination takes each
+    cell's image with the cell's bit above the target's n bits.  Each
+    vector the stage must cover (the module, then the previous kernel) that
+    it does not reduce to zero becomes a new generator.  The cells' rows
+    that it reduces to zero span the kernel in degree t, since the
+    generators' values are independent modulo the image of the cells.
+
+    A generator in degree t has cells only in degrees t..t+6, and every
+    generator covers a vector, so a stage visits only the degrees up to
+    ``max_t`` that hold cover vectors or pending cells w g, lowest first;
+    elsewhere it has no cells and adds no kernel.
     """
     if algebra not in _ALGEBRAS:
         raise ValueError(f"unknown algebra {algebra!r}")
@@ -67,49 +82,67 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
         raise TruncationTooTight(
             f"resolving through degree {max_t} needs the module beyond its "
             f"cutoff {m.truncated_above}")
-    words = _ALGEBRAS[algebra]
-    lo = max_t + 1 if m.lo is None else m.lo
+    words = _ALGEBRAS[algebra][1:]
     # everything in degrees <= max_t is determined by degrees <= max_t
     cover = {k: [1 << i for i in range(m.dim(k))] for k in m.space.degrees}
     stages: List[ResolutionStage] = []
+    # where[g][u]: the bit of the cell u g (|u| > 0) in its degree
+    where: List[Dict[str, int]] = []
     for s in range(max_s + 1):
         prev = stages[-1] if stages else None
-        if prev is not None:
-            index = {k: {c: i for i, c in enumerate(cells)}
-                     for k, cells in prev.basis.items()}
+        below, where = where, []  # the previous stage's map, and this one's
 
-        def column(w: str, k: int, v: int) -> int:
+        def images(k: int, v: int) -> List[Tuple[str, int]]:
+            """The pairs (w, w d(g)) for the generator g with d(g) = v in
+            degree k, over the words w of positive degree with w g in
+            degrees up to max_t."""
+            ws = [w for w in words if k + WORD_DEGREE[w] <= max_t]
             if prev is None:
-                return apply_word(m, w, k, v)[1]
-            out = 0
+                return [(w, apply_word(m, w, k, v)[1]) for w in ws]
+            terms = []  # d(g) as (bits of the cells u g', u)
+            cells = prev.basis[k]
             while v:
                 low = v & -v
-                g, u = prev.basis[k][low.bit_length() - 1]
-                wu = _times(w, u)
-                if wu is not None:
-                    out ^= 1 << index[k + WORD_DEGREE[w]][(g, wu)]
+                g, u = cells[low.bit_length() - 1]
+                terms.append((below[g], u))
                 v ^= low
+            out = []
+            for w in ws:
+                product, image = _PRODUCT[w], 0
+                for bits, u in terms:
+                    wu = product[u]
+                    if wu is not None:
+                        image ^= bits[wu]
+                out.append((w, image))
             return out
 
         stage = ResolutionStage(s, [], {}, [])
         kernel: Dict[int, List[int]] = {}
-        decomposable: Dict[int, List[Tuple[int, str]]] = {}  # the cells w g
-        for t in range(lo, max_t + 1):
-            cells = decomposable.pop(t, [])
+        # the cells w g in each degree, with their images w d(g)
+        pending: Dict[int, List[Tuple[int, str, int]]] = {}
+        covered = iter(sorted(k for k in cover if k <= max_t))
+        c = next(covered, None)
+        while pending or c is not None:
+            t = min(pending, default=c)
+            if c is not None and c <= t:
+                t, c = c, next(covered, None)
             n = m.dim(t) if prev is None else len(prev.basis.get(t, ()))
             mask = (1 << n) - 1
             pivots: Dict[int, int] = {}
-            for j, (gi, w) in enumerate(cells):
-                row = column(w, *stage.d_values[gi]) | 1 << (n + j)
-                row = insert(pivots, row, mask)
+            cells: List[Tuple[int, str]] = []
+            for gi, w, image in pending.pop(t, ()):
+                row = insert(pivots, image | 1 << (n + len(cells)), mask)
                 if not row & mask:
                     kernel.setdefault(t, []).append(row >> n)
+                where[gi][w] = 1 << len(cells)
+                cells.append((gi, w))
             for v in cover.get(t, ()):
                 if insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
                     gi = len(stage.gens)
-                    for w in words[1:]:
-                        decomposable.setdefault(t + WORD_DEGREE[w], []).append(
-                            (gi, w))
+                    for w, image in images(t, v):
+                        pending.setdefault(t + WORD_DEGREE[w], []).append(
+                            (gi, w, image))
+                    where.append({})
                     cells.append((gi, "1"))
                     stage.gens.append(t)
                     stage.d_values.append((t, v))

@@ -24,7 +24,7 @@ from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
                      _word_matrix, apply_word, direct_sum, free_module, module,
                      module_from_edges, tensor, truncate, zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
-from .f2linalg import BitMatrix, Subspace, complement, kernel, solve
+from .f2linalg import BitMatrix, Subspace, complement, kernel, mul_rows, solve
 from .margolis import is_q0_local
 
 __all__ = [
@@ -166,7 +166,8 @@ def _free_cells(m: A1Module) -> Dict[int, Tuple[List[int], BitMatrix]]:
         if top.is_zero():
             continue
         gens = complement(kernel(top), Subspace.full(m.dim(k)))
-        tops = BitMatrix(len(gens), top.rows, tuple(top.apply(x) for x in gens))
+        tops = BitMatrix(len(gens), top.rows,
+                         tuple(mul_rows(gens, top.transpose().data)))
         cells[k] = (gens, BitMatrix(len(gens), top.rows, tuple(
             solve(tops, 1 << i) for i in range(len(gens)))))
     return cells
@@ -192,11 +193,18 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
         return m, {}
     rows: Dict[int, List[int]] = {}
     for k, (_, phis) in cells.items():
+        # phi o u = (phi o p) o Sq for each word u = p Sq (Sq acting first):
+        # dropping the rightmost factor of a word leaves a word, so seven
+        # row products give all eight
+        chain = {"1": phis.data}
+        for u in WORDS[1:]:
+            sq = m.sq1 if u.endswith("Sq1") else m.sq2
+            chain[u] = mul_rows(chain[u[:-3] or "1"],
+                                sq.mat(k + 6 - WORD_DEGREE[u]).data)
         for w in WORDS:
             d = k + WORD_DEGREE[w]
             if m.dim(d):
-                rows.setdefault(d, []).extend(
-                    phis.mul(_word_matrix(m, DUAL_WORD[w], d)).data)
+                rows.setdefault(d, []).extend(chain[DUAL_WORD[w]])
     sub = {d: kernel(BitMatrix(len(rows.get(d, ())), m.dim(d),
                                tuple(rows.get(d, ()))))
            for d in m.space.degrees}

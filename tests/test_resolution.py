@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, f2linalg, structure
-from a1mod.a1core import _times, apply_word, direct_sum, suspend, tensor
+from a1mod.a1core import (_times, apply_word, direct_sum, dualize, suspend,
+                          tensor)
 from a1mod.davismahowald import localized_ext
 from a1mod.errors import NotStabilized, TruncationTooTight
 from a1mod.resolution import (ext_dims, h0_tower_count, h0_tower_counts,
                               minimal_resolution)
 from random_modules import random_automorphism, random_module
+from solver_reference import minimal_resolution_reference
 
 
 def test_a0_ext_of_f2_is_diagonal():
@@ -158,3 +160,56 @@ def test_resolution_needs_no_general_elimination(monkeypatch):
     monkeypatch.setattr(f2linalg.Subspace, "span", staticmethod(refuse))
     for fn, *args in cases:
         fn(*args)
+
+
+def _resolve_both(m, algebra, max_s, max_t):
+    """The stages from both routes, or the error each raised."""
+    out = []
+    for fn in (minimal_resolution, minimal_resolution_reference):
+        try:
+            out.append(fn(m, algebra, max_s, max_t))
+        except TruncationTooTight as e:
+            out.append(("TruncationTooTight", str(e)))
+    return out
+
+
+def test_minimal_resolution_matches_reference():
+    # the resolution visits only degrees with cells or cover vectors and
+    # reads products off a table; the reference visits every degree and
+    # multiplies word by word.  F2 + S^30 F2 has a gap wider than the top
+    # degree of A(1), so the stage runs out of cells before the next cover
+    # degree
+    rng = random.Random(12)
+    cases = [a1core.f2(), direct_sum(a1core.f2(), a1core.f2(30)),
+             a1core.zero_module(), a1core.free_module(),
+             structure.seagull(1, -5), structure.seagull(2, 3),
+             structure.seagull(3, -11), dualize(structure.seagull(2)),
+             tensor(structure.seagull(1), structure.seagull(1, 2)),
+             structure.seagull_inf(40)]
+    cases += [random_module(rng) for _ in range(20)]
+    for m in cases:
+        lo = 0 if m.lo is None else m.lo
+        depths = [(3, lo + 12), (10, lo + 40)]
+        if m.truncated_above is not None:  # as deep as the cutoff allows
+            depths.append((10, m.truncated_above))
+        for algebra in ("a0", "a1"):
+            for max_s, max_t in depths:
+                got, want = _resolve_both(m, algebra, max_s, max_t)
+                if isinstance(want, tuple):
+                    assert got == want, (m.name, algebra, max_s, max_t)
+                    continue
+                assert len(got) == len(want) == max_s + 1
+                for a, b in zip(got, want):
+                    assert (a.s, a.gens, a.basis, a.d_values) == \
+                        (b.s, b.gens, b.basis, b.d_values), \
+                        (m.name, algebra, max_s, max_t, a.s)
+    # past the cutoff both routes refuse with the same text
+    assert _resolve_both(structure.seagull_inf(40), "a1", 5, 41) == [(
+        "TruncationTooTight",
+        "resolving through degree 41 needs the module beyond its cutoff 40")] * 2
+
+
+def test_deep_a0_resolution_of_f2_is_one_generator_per_stage():
+    for t in (-7, 0, 5):
+        chart = ext_dims(a1core.f2(t), "a0", 200, t + 400)
+        assert chart.dims == {(s, s + t): 1 for s in range(201)}
