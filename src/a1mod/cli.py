@@ -12,8 +12,9 @@ The size options have upper limits (``LIMITS``) on how far they reach:
 ``--cutoff`` 256 and ``--max-t`` 256 degrees above the module's bottom
 degree (above ``--shift`` for ``seagull --infinite``), ``--max-stem`` 128
 above the lower of the bottom degree and 0, and ``--max-s`` 128,
-``--max-sigma`` 128 and ``--n`` 1024 as they stand.  A larger value exits 2
-with a JSON error before any work starts.
+``--max-sigma`` 128 and ``--n`` 1024 as they stand.  Without ``--cutoff``,
+``localize`` and ``lift-check`` hold their default cutoff to the same limit.
+A larger value exits 2 with a JSON error before any work starts.
 """
 
 from __future__ import annotations
@@ -36,19 +37,15 @@ LIMITS: Dict[str, int] = {"max_s": 128, "max_t": 256, "max_stem": 128,
                           "max_sigma": 128, "cutoff": 256, "n": 1024}
 
 
-def _digest(texts: List[str]) -> str:
-    h = hashlib.sha256()
-    for t in texts:
-        h.update(t.encode())
-    return h.digest().hex()[:16]
-
-
 def _load(path: str) -> Tuple[a1core.A1Module, str]:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise ParseError(0, f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ParseError(0, f"cannot read {path}: not UTF-8 text "
+                            f"({e.reason} at byte {e.start})")
     return modfile.parse_module(text), text
 
 
@@ -65,176 +62,151 @@ def _limit(args, dest: str, base: Optional[int] = None) -> None:
                         f"degree {base}, beyond its limit {limit}")
 
 
-def _window(pair) -> List[Optional[int]]:
-    return [pair[0], pair[1]]
+def _cutoff(args, m: a1core.A1Module) -> Optional[int]:
+    """The cutoff that ``localize`` and ``lift-check`` use, refused past its
+    limit: ``--cutoff``, else the module's default (None for the zero
+    module, which ``localize_q0`` classifies directly)."""
+    if args.cutoff is None and m.lo is not None:
+        args.cutoff = structure.default_cutoff(m)
+    _limit(args, "cutoff", m.lo)
+    return args.cutoff
 
 
-def _descriptor_json(desc: structure.FlockDescriptor) -> Dict:
+def _dims(m: a1core.A1Module) -> Dict[str, int]:
+    return {str(k): m.space.dim(k) for k in m.space.degrees}
+
+
+def _report_json(report: structure.DecompositionReport) -> Dict:
+    desc = report.descriptor
     return {
-        "seagulls": [{"shift": e.shift, "length": e.length, "exact": e.exact}
-                     for e in desc.seagulls],
-        "free_ranks": {str(d): r for d, r in desc.free_ranks},
-        "cutoff": desc.cutoff,
+        "descriptor": {
+            "seagulls": [{"shift": e.shift, "length": e.length,
+                          "exact": e.exact} for e in desc.seagulls],
+            "free_ranks": {str(d): r for d, r in desc.free_ranks},
+            "cutoff": desc.cutoff,
+        },
+        "residue_degrees": report.residue_degrees,
     }
-
-
-def _emit(args, record: Dict) -> None:
-    print(json.dumps(record, sort_keys=True))
 
 
 def _write_module(args, m: a1core.A1Module, name: str) -> Dict:
     text = modfile.serialize(m, name)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as f:
             f.write(text)
-    return {"module_text": text, "dims": {str(k): m.space.dim(k)
-                                          for k in m.space.degrees}}
+    return {"module_text": text, "dims": _dims(m)}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, reliable, texts hashed)
+# subcommand handlers: (args, modules read from the command line) ->
+# (payload, reliable)
 
 
-def _cmd_validate(args):
-    m, text = _load(args.module)
-    return {"valid": True, "name": m.name,
-            "dims": {str(k): m.space.dim(k) for k in m.space.degrees}}, None, [text]
+def _cmd_validate(args, m):
+    return {"valid": True, "name": m.name, "dims": _dims(m)}, None
 
 
-def _cmd_info(args):
-    m, text = _load(args.module)
+def _cmd_info(args, m):
     degrees = m.space.degrees
     return {
         "name": m.name,
-        "dims": {str(k): m.space.dim(k) for k in degrees},
+        "dims": _dims(m),
         "total_dim": sum(m.space.dim(k) for k in degrees),
         "lowest": degrees[0] if degrees else None,
         "highest": degrees[-1] if degrees else None,
         "truncated_above": m.truncated_above,
         "truncated_below": m.truncated_below,
-    }, None, [text]
+    }, None
 
 
-def _cmd_margolis(args):
-    m, text = _load(args.module)
-    op = args.operator.upper()
+def _cmd_margolis(args, m):
     side = "dual" if args.dual else "module"
-    res = margolis.margolis_homology(m, op, side)
+    res = margolis.margolis_homology(m, args.operator.upper(), side)
     payload = {
         "operator": res.op,
         "side": side,
         "dims": {str(k): d for k, d in sorted(res.dims.items()) if d},
         "nonzero_degrees": res.nonzero_degrees(),
     }
-    return payload, _window(res.reliable), [text]
+    return payload, list(res.reliable)
 
 
-def _cmd_reduce(args):
-    m, text = _load(args.module)
+def _cmd_reduce(args, m):
     reduced, ranks = structure.strip_free(m)
     payload = _write_module(args, reduced, f"{m.name or 'M'}_reduced")
     payload["free_ranks"] = {str(k): r for k, r in sorted(ranks.items()) if r}
-    return payload, None, [text]
+    return payload, None
 
 
-def _cmd_classify(args):
-    m, text = _load(args.module)
-    report = structure.classify(m)
-    payload = {
-        "descriptor": _descriptor_json(report.descriptor),
-        "residue_degrees": report.residue_degrees,
-    }
-    return payload, None, [text]
+def _cmd_classify(args, m):
+    return _report_json(structure.classify(m)), None
 
 
-def _cmd_localize(args):
-    m, text = _load(args.module)
-    _limit(args, "cutoff", m.lo)
-    report = structure.localize_q0(m, args.cutoff)
-    payload = {
-        "descriptor": _descriptor_json(report.descriptor),
-        "residue_degrees": report.residue_degrees,
-    }
+def _cmd_localize(args, m):
+    report = structure.localize_q0(m, _cutoff(args, m))
     cut = report.descriptor.cutoff
     reliable = [None, cut - structure.BOUNDARY] if cut is not None else None
-    return payload, reliable, [text]
+    return _report_json(report), reliable
 
 
-def _cmd_ext(args):
-    m, text = _load(args.module)
+def _cmd_ext(args, m):
     _limit(args, "max_s")
     _limit(args, "max_t", m.lo)
     chart = resolution.ext_dims(m, args.algebra, args.max_s, args.max_t)
     dims = {f"{s},{t}": d for (s, t), d in sorted(chart.dims.items()) if d}
     return {"algebra": chart.algebra, "max_s": chart.max_s,
-            "max_t": chart.max_t, "dims": dims}, None, [text]
+            "max_t": chart.max_t, "dims": dims}, None
 
 
-def _tower_base(m: a1core.A1Module) -> int:
-    """The lowest stem ``h0_tower_counts`` reports: its resolution reaches
-    ``--max-stem`` minus this far in filtration."""
-    return min(m.lo, 0) if m.lo is not None else 0
-
-
-def _cmd_towers(args):
-    m, text = _load(args.module)
-    _limit(args, "max_stem", _tower_base(m))
+def _cmd_towers(args, m):
+    _limit(args, "max_stem", resolution.tower_base(m))
     counts = resolution.h0_tower_counts(m, args.max_stem)
     return {"towers": {str(k): v for k, v in sorted(counts.items()) if v},
-            "max_stem": args.max_stem}, None, [text]
+            "max_stem": args.max_stem}, None
 
 
-def _cmd_dm_e1(args):
-    m, text = _load(args.module)
+def _cmd_dm_e1(args, m):
     _limit(args, "max_sigma")
     page = davismahowald.e1_page(m, args.max_sigma)
     payload = {
         "classes": [{"sigma": s, "stem": st, "label": lbl}
                     for s, st, lbl in page.records],
     }
-    return payload, _window(page.reliable), [text]
+    return payload, list(page.reliable)
 
 
-def _cmd_dm_d2(args):
-    m, text = _load(args.module)
+def _cmd_dm_d2(args, m):
     data = davismahowald.d2(m)
     payload = {
         "classes": [{"degree": k, "label": lbl} for k, lbl in data.classes],
         "pairs": [{"source": a, "target": b} for a, b in data.pairs],
         "zero": data.is_zero(),
     }
-    return payload, None, [text]
+    return payload, None
 
 
-def _cmd_dm_e3(args):
-    m, text = _load(args.module)
+def _cmd_dm_e3(args, m):
     page = davismahowald.e3_page(m)
     payload = {
         "first_column": [{"stem": st, "dim": d}
                          for st, d in page.first_column if d],
         "generic": [{"degree": k, "dim": d} for k, d in page.generic if d],
     }
-    return payload, None, [text]
+    return payload, None
 
 
-def _cmd_lift_check(args):
-    m, text = _load(args.module)
-    _limit(args, "cutoff", m.lo)
-    verdict = davismahowald.lift_check(m, args.cutoff)
-    return {"outcome": verdict.outcome,
-            "evidence": verdict.evidence}, None, [text]
+def _cmd_lift_check(args, m):
+    verdict = davismahowald.lift_check(m, _cutoff(args, m))
+    return {"outcome": verdict.outcome, "evidence": verdict.evidence}, None
 
 
-def _cmd_sq4_check(args):
-    m, text = _load(args.module)
-    res = davismahowald.sq4_solver(m)
-    return {"feasible": res.feasible}, None, [text]
+def _cmd_sq4_check(args, m):
+    return {"feasible": davismahowald.sq4_solver(m).feasible}, None
 
 
-def _cmd_chart(args):
-    m, text = _load(args.module)
+def _cmd_chart(args, m):
     if args.kind == "towers":
-        _limit(args, "max_stem", _tower_base(m))
+        _limit(args, "max_stem", resolution.tower_base(m))
         counts = resolution.h0_tower_counts(m, args.max_stem)
         body = (charts.towers_ascii(counts, args.max_stem)
                 if args.format == "ascii"
@@ -262,7 +234,7 @@ def _cmd_chart(args):
                    "kind": args.kind}
     else:
         payload = {"chart": body, "format": args.format, "kind": args.kind}
-    return payload, None, [text]
+    return payload, None
 
 
 # generator commands
@@ -285,33 +257,26 @@ def _cmd_seagull(args):
         name = f"seagull_{args.n}"
     if args.shift:
         name += f"_shift{args.shift}"
-    return _write_module(args, m, name), None, []
+    return _write_module(args, m, name), None
 
 
-def _cmd_tensor(args):
-    a, ta = _load(args.left)
-    b, tb = _load(args.right)
-    m = a1core.tensor(a, b)
-    return _write_module(args, m, f"{a.name}_x_{b.name}"), None, [ta, tb]
+def _cmd_tensor(args, a, b):
+    return _write_module(args, a1core.tensor(a, b),
+                         f"{a.name}_x_{b.name}"), None
 
 
-def _cmd_sum(args):
-    a, ta = _load(args.left)
-    b, tb = _load(args.right)
-    m = a1core.direct_sum(a, b)
-    return _write_module(args, m, f"{a.name}_plus_{b.name}"), None, [ta, tb]
+def _cmd_sum(args, a, b):
+    return _write_module(args, a1core.direct_sum(a, b),
+                         f"{a.name}_plus_{b.name}"), None
 
 
-def _cmd_suspend(args):
-    m, text = _load(args.module)
+def _cmd_suspend(args, m):
     return _write_module(args, a1core.suspend(m, args.by),
-                         f"{m.name}_susp{args.by}"), None, [text]
+                         f"{m.name}_susp{args.by}"), None
 
 
-def _cmd_dual(args):
-    m, text = _load(args.module)
-    return _write_module(args, a1core.dualize(m),
-                         f"{m.name}_dual"), None, [text]
+def _cmd_dual(args, m):
+    return _write_module(args, a1core.dualize(m), f"{m.name}_dual"), None
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +368,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        payload, reliable, texts = args.handler(args)
-    except ParseError as e:
-        print(json.dumps({"command": args.command, "error": str(e),
-                          "version": __version__}, sort_keys=True),
-              file=sys.stderr)
-        return 2
+        loaded = [_load(getattr(args, dest))
+                  for dest in ("module", "left", "right") if hasattr(args, dest)]
+        payload, reliable = args.handler(args, *(m for m, _ in loaded))
     except A1ModError as e:
         print(json.dumps({"command": args.command, "error": str(e),
                           "version": __version__}, sort_keys=True),
               file=sys.stderr)
-        return 1
-    record = {
+        return 2 if isinstance(e, ParseError) else 1
+    print(json.dumps({
         "command": args.command,
-        "input": _digest(texts),
+        "input": hashlib.sha256(
+            "".join(text for _, text in loaded).encode()).hexdigest()[:16],
         "payload": payload,
         "reliable": reliable,
         "version": __version__,
-    }
-    _emit(args, record)
+    }, sort_keys=True))
     return 0
 
 

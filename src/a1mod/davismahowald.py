@@ -41,13 +41,6 @@ class NSigma:
     module: A1Module
     monomials: List[Tuple[int, int]]   # (i, j) with i + j = sigma
 
-    def vector(self, i: int, j: int) -> Tuple[int, int]:
-        """(degree, basis vector) of a monomial."""
-        d = 2 * i + 3 * j
-        lbl = _mono_label(i, j)
-        idx = self.module.space.labels[d].index(lbl)
-        return d, 1 << idx
-
 
 def build_N(sigma: int) -> NSigma:
     """Degree-sigma polynomials in generators of internal degrees 2 and 3.
@@ -329,14 +322,6 @@ class E3Page:
     # generic even column
     first_column: List[Tuple[int, int]]       # (stem, dim) for sigma = 0
     generic: List[Tuple[int, int]]            # (dual degree, dim) for sigma >= 2
-
-    def families(self, max_sigma: int) -> List[Tuple[int, int, int]]:
-        out = [(0, stem, d) for stem, d in self.first_column if d]
-        for sigma in range(2, max_sigma + 1, 2):
-            for delta, d in self.generic:
-                if d:
-                    out.append((sigma, 2 * sigma - delta, d))
-        return sorted(out)
 
 
 def _dual_homology(dual: A1Module):

@@ -199,10 +199,6 @@ class Subspace:
         return Subspace(ambient_dim, tuple(canonical(pivots)))
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
 

@@ -18,6 +18,7 @@ from .f2linalg import insert
 __all__ = [
     "ResolutionStage", "ExtChart",
     "minimal_resolution", "ext_dims", "h0_tower_count", "h0_tower_counts",
+    "tower_base",
 ]
 
 # The exterior algebra on Sq1 is spanned by the first two words of A(1), and
@@ -165,16 +166,21 @@ def ext_dims(m: A1Module, algebra: str = "a1",
     return ExtChart(algebra, max_s, max_t, dims)
 
 
-def h0_tower_counts(m: A1Module, max_stem: int, window: int = 4,
-                    algebra: str = "a1") -> Dict[int, int]:
+def tower_base(m: A1Module) -> int:
+    """The lowest stem ``h0_tower_counts`` reports: the lower of the bottom
+    degree and 0."""
+    return min(m.lo, 0) if m.lo is not None else 0
+
+
+def h0_tower_counts(m: A1Module, max_stem: int) -> Dict[int, int]:
     """Number of infinite multiplication-by-h0 towers in each stem from
-    min(bottom degree, 0) up to ``max_stem``, read off where the chart
-    dimensions stabilize in s."""
-    base = min(m.lo, 0) if m.lo is not None else 0
+    ``tower_base(m)`` up to ``max_stem``, read off where the A(1) chart
+    dimensions stabilize in s (equal over 4 consecutive s)."""
+    base, window = tower_base(m), 4
     offset = 8  # towers are isolated this far above the line s = stem - base
     max_s = max_stem - base + offset + window - 1
     max_t = max_s + max_stem
-    chart = ext_dims(m, algebra, max_s, max_t)
+    chart = ext_dims(m, "a1", max_s, max_t)
     out: Dict[int, int] = {}
     for stem in range(base, max_stem + 1):
         s0 = stem - base + offset
@@ -185,6 +191,5 @@ def h0_tower_counts(m: A1Module, max_stem: int, window: int = 4,
     return out
 
 
-def h0_tower_count(m: A1Module, stem: int, window: int = 4,
-                   algebra: str = "a1") -> int:
-    return h0_tower_counts(m, stem, window, algebra)[stem]
+def h0_tower_count(m: A1Module, stem: int) -> int:
+    return h0_tower_counts(m, stem)[stem]

@@ -261,8 +261,6 @@ def classify(m: A1Module) -> DecompositionReport:
 
     for k in red.space.degrees:
         dk = red.dim(k)
-        if dk == 0:
-            continue
         base = Subspace.span(
             [red.sq1.apply(k - 1, v) for v in sub.get(k - 1, ())]
             + [red.sq2.apply(k - 2, v) for v in sub.get(k - 2, ())], dk)
@@ -372,9 +370,6 @@ def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
     rhs = red.sq1.apply(k, b_hat)
     cand = [i for i, s in enumerate(seagulls)
             if any(d == k - 4 for d, _ in s["gens"])]
-    if rhs == 0:
-        # cannot happen for a generator outside ker + submodule
-        return False, b_hat, []
     ccols = []
     for i in cand:
         gvec = next(v for d, v in seagulls[i]["gens"] if d == k - 4)

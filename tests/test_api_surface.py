@@ -1,7 +1,9 @@
 """Every exported name exists, and so does every layer that the benchmark's
 tracer (``perfbench/spans.py``) wraps, so that deleting a function cannot
-silently break ``perfbench/run.py --trace 1``."""
+silently break ``perfbench/run.py --trace 1``.  Every function, method and
+class the package defines is used somewhere, so none is dead."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 import a1mod
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(a1mod.__path__))
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _traced_layers():
@@ -36,3 +39,24 @@ def test_traced_layers_resolve(layer):
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target)
+
+
+def test_every_definition_is_referenced():
+    used = {part for _, _, attrs, _, _ in _traced_layers()
+            for attr in attrs for part in attr.split(".")}
+    defined = []
+    for folder in ("src", "tests", "perfbench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.update(node.name.split("."))
+                elif (folder == "src" and isinstance(
+                        node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("__")):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+    assert [d for d in defined if d[1] not in used] == []

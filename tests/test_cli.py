@@ -158,6 +158,16 @@ def test_missing_file_exit_2(capsys, tmp_path):
     assert "cannot read" in json.loads(err)["error"]
 
 
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.mod"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "info", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        f"line 0: cannot read {bad}: not UTF-8 text "
+        "(invalid start byte at byte 0)")
+
+
 def test_domain_error_exit_1(capsys, tmp_path):
     # resolving a module truncated below the requested range is a domain
     # error, not a usage error
@@ -327,6 +337,32 @@ def test_size_option_limits_follow_the_module(capsys, monkeypatch, tmp_path,
     argv = [a.format(m=path, by=by) for a in argv]
     _starts_at_refuses_above(capsys, monkeypatch, argv, dest, work,
                              base + cli.LIMITS[dest], base)
+
+
+# without --cutoff the default cutoff, max(top, bottom) + 18, counts: a
+# module spanning 238 degrees starts the work, one spanning 239 is refused
+@pytest.mark.parametrize("bottom", [0, -10])
+@pytest.mark.parametrize("command,work", [
+    ("localize", "structure.localize_q0"),
+    ("lift-check", "davismahowald.lift_check")])
+def test_default_cutoff_limit(capsys, monkeypatch, tmp_path, bottom, command,
+                              work):
+    def started(*args, **kwargs):
+        raise _Started
+    module, name = work.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, started)
+    span = cli.LIMITS["cutoff"] - 18
+    paths = []
+    for top in (bottom + span, bottom + span + 1):
+        paths.append(tmp_path / f"top{top}.mod")
+        paths[-1].write_text(f"module m\ngen a {bottom}\ngen b {top}\n")
+    with pytest.raises(_Started):
+        main([command, str(paths[0])])
+    code, out, err = run(capsys, command, str(paths[1]))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "command": command, "version": __version__,
+        "error": _refusal("cutoff", bottom + span + 19, bottom)}
 
 
 def test_usage_error_exit_2(s1):
