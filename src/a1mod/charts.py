@@ -6,8 +6,8 @@ Two chart kinds:
   vertical axis, infinite h0-towers drawn as vertical runs capped with an
   arrowhead;
 * spectral-sequence pages — one marker per class, marker shape keyed to the
-  filtration sigma, d2 differentials drawn as arrows of slope
-  (stem - 1, s + 1).
+  filtration sigma, d2 differentials drawn as arrows from (stem, sigma) to
+  (stem - 1, sigma + 2).
 
 ASCII output is line-stable; SVG output is well-formed XML.
 """

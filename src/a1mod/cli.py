@@ -49,6 +49,14 @@ def _load(path: str) -> Tuple[a1core.A1Module, str]:
     return modfile.parse_module(text), text
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise ParseError(0, f"cannot write {path}: {e.strerror}")
+
+
 def _limit(args, dest: str, base: Optional[int] = None) -> None:
     """Refuse the option ``dest`` when it reaches more than ``LIMITS[dest]``
     above degree ``base`` (above 0 when ``base`` is None)."""
@@ -92,8 +100,7 @@ def _report_json(report: structure.DecompositionReport) -> Dict:
 def _write_module(args, m: a1core.A1Module, name: str) -> Dict:
     text = modfile.serialize(m, name)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        _write(args.output, text)
     return {"module_text": text, "dims": _dims(m)}
 
 
@@ -215,21 +222,17 @@ def _cmd_chart(args, m):
         _limit(args, "max_sigma")
         page = davismahowald.e1_page(m, args.max_sigma)
         data = davismahowald.d2(m)
-        stem_of = {lbl: st for _, st, lbl in page.records}
-        sigma_of: Dict[str, int] = {}
-        for s, _, lbl in page.records:
-            sigma_of.setdefault(lbl, s)
-        arrows = []
-        for a, b in data.pairs:
-            if a in stem_of:
-                sa = sigma_of[a]
-                arrows.append((stem_of[a], sa, stem_of[a] - 1, sa + 2))
+        spots: Dict[str, List[Tuple[int, int]]] = {}  # label -> (stem, sigma)
+        for s, st, lbl in page.records:
+            spots.setdefault(lbl, []).append((st, s))
+        # d2 leaves each record of its source that has a target on the page
+        arrows = [(st, s, st - 1, s + 2) for a, _ in data.pairs
+                  for st, s in spots[a] if s + 2 <= args.max_sigma]
         classes = [(st, s, lbl) for s, st, lbl in page.records]
         body = (charts.page_ascii(classes, arrows) if args.format == "ascii"
                 else charts.page_svg(classes, arrows))
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(body)
+        _write(args.output, body)
         payload = {"written": args.output, "format": args.format,
                    "kind": args.kind}
     else:

@@ -71,7 +71,7 @@ class DMComplexStage:
     module: A1Module
     a_gens: List[Tuple[str, int, int]]   # (label, degree, vector)
     b_gens: List[Tuple[str, int, int]]
-    boundary: Optional[GradedMap]        # to the previous stage (or F2 at 0)
+    boundary: GradedMap                  # to the previous stage (F2 at 0)
 
 
 def _tensor_vector(t: A1Module, left_label: str, left_deg: int,
@@ -168,26 +168,24 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
     return stages
 
 
+def _exact(maps: List[GradedMap],
+           max_t: Optional[int] = None) -> Tuple[bool, bool]:
+    """(complex, exact) for maps listed in the order they apply: every
+    neighbouring composite vanishes, and in every degree up to max_t of the
+    module between two maps the kernel of the later one is the image of the
+    earlier one."""
+    pairs = list(zip(maps, maps[1:]))
+    return (all(b.compose(a).is_zero() for a, b in pairs),
+            all(kernel(b.mat(k)) == image(a.mat(k - a.shift))
+                for a, b in pairs for k in b.source.degrees
+                if max_t is None or k <= max_t))
+
+
 def check_dm_exactness(stages: List[DMComplexStage], max_t: int) -> Dict[str, bool]:
     """Verify the complex property and exactness at every position that has
     an incoming stage, through internal degree max_t."""
-    ok_complex = True
-    ok_exact = True
-    for s in range(1, len(stages)):
-        comp = stages[s - 1].boundary.compose(stages[s].boundary)
-        if not comp.is_zero():
-            ok_complex = False
-    # exactness at position s needs stage s+1
-    for s in range(0, len(stages) - 1):
-        stage = stages[s]
-        nxt = stages[s + 1]
-        for k in stage.module.space.degrees:
-            if k > max_t:
-                continue
-            ker = kernel(stage.boundary.mat(k))
-            im = image(nxt.boundary.mat(k))
-            if ker != im:
-                ok_exact = False
+    ok_complex, ok_exact = _exact([st.boundary for st in reversed(stages)],
+                                  max_t)
     # the augmentation is onto
     onto = image(stages[0].boundary.mat(0)).dim == 1
     return {"complex": ok_complex, "exact": ok_exact, "onto": onto}
@@ -202,7 +200,7 @@ class InjectiveStage:
     s: int
     module: A1Module
     gens: Dict[int, Tuple[int, int]]     # gen degree -> (degree, vector)
-    f: Optional[GradedMap]               # map from the previous stage
+    f: GradedMap                         # from the previous stage (F2 at 0)
     r: Tuple[int, int]                   # distinguished element r_s
     t: Tuple[int, int]                   # t_s = Sq1 r_s
 
@@ -241,12 +239,12 @@ def build_injective(max_s: int) -> List[InjectiveStage]:
                 for gd in degs}
         r_vec = apply_word(mod, "Sq2Sq1Sq2", *gens[-s - 6])
         t_vec = apply_word(mod, "Sq1", *r_vec)
-        fmap = None
-        if prev is not None:
-            gvals: List[Tuple[int, int]] = []
-            gsrcs: List[Tuple[int, int]] = []
+        if prev is None:  # the augmentation F2 -> C_0, 1 -> t_0
+            source, gsrcs, gvals = f2(t_vec[0]), [(t_vec[0], 1)], [t_vec]
+        else:
+            source, gsrcs, gvals = prev.module, [], []
             for k, gv in prev.gens.items():
-                acc_deg, acc = k, 0
+                acc = 0
                 for word, off in (("Sq1", 1), ("Sq2", 2),
                                   ("Sq2Sq1", 3), ("Sq2Sq1Sq2", 5)):
                     if k - off in gens:
@@ -256,39 +254,19 @@ def build_injective(max_s: int) -> List[InjectiveStage]:
                         acc ^= v
                 gsrcs.append(gv)
                 gvals.append((k, acc))
-            # the source is free, so the generator values fix the map
-            fmap = linear_map_from_generators(prev.module, mod, gsrcs, gvals,
-                                              shift=0)
+        # the source is generated by gsrcs, so their values fix the map
+        fmap = linear_map_from_generators(source, mod, gsrcs, gvals, shift=0)
         stages.append(InjectiveStage(s, mod, gens, fmap, r_vec, t_vec))
         prev = stages[-1]
     return stages
 
 
 def check_injective_exactness(stages: List[InjectiveStage]) -> Dict[str, bool]:
-    """f o f = 0, exactness at every stage with an outgoing map, the
-    augmentation 1 -> t_0 embedding onto ker f_1, and f_s(t_{s-1}) = r_s."""
-    ok_complex = True
-    ok_exact = True
-    ok_rt = True
-    for s in range(2, len(stages)):
-        if not stages[s].f.compose(stages[s - 1].f).is_zero():
-            ok_complex = False
-    for s in range(0, len(stages) - 1):
-        mod = stages[s].module
-        nxt = stages[s + 1]
-        for k in mod.space.degrees:
-            ker = kernel(nxt.f.mat(k))
-            im = (image(stages[s].f.mat(k)) if s > 0
-                  else Subspace.span([stages[s].t[1]] if stages[s].t[0] == k else [],
-                                     mod.dim(k)))
-            if ker != im:
-                ok_exact = False
-    for s in range(1, len(stages)):
-        rd, rv = stages[s - 1].r
-        fd = stages[s].f.apply(rd, rv)
-        td, tv = stages[s].t
-        if (rd, fd) != (td, tv):
-            ok_rt = False
+    """f o f = 0 from the augmentation 1 -> t_0 on, exactness at every stage
+    with an outgoing map, and f_s(r_{s-1}) = t_s."""
+    ok_complex, ok_exact = _exact([st.f for st in stages])
+    ok_rt = all((prev.r[0], st.f.apply(*prev.r)) == st.t
+                for prev, st in zip(stages, stages[1:]))
     return {"complex": ok_complex, "exact": ok_exact, "r_t": ok_rt}
 
 
@@ -502,7 +480,7 @@ def sq4_solver(m: A1Module) -> Sq4Result:
     R_j and U_j) and pi projects onto R_j.  Then S = W h + h W pi.
     """
     degs = m.space.degrees
-    span = range(degs[0] - 1, degs[-1] + 6) if degs else range(0)
+    span = {k + d for k in degs for d in (-1, 0, 4, 5)}  # the degrees read
     cycles = {j: kernel(m.sq1.mat(j)) for j in span}
     bounds = {j: image(m.sq1.mat(j - 1)) for j in span}
     rest = {j: complement(cycles[j], Subspace.full(m.dim(j))) for j in span}
@@ -529,7 +507,7 @@ def sq4_solver(m: A1Module) -> Sq4Result:
             BitMatrix(nr, n, coords[nb:nb + nr]))
         return h, pi
 
-    hpi = {j: contraction(j) for j in span[1:]}
+    hpi = {j: contraction(j) for j in {k + d for k in degs for d in (0, 5)}}
     return Sq4Result(True, {
         k: wing[k - 1].mul(hpi[k][0]).add(
             hpi[k + 5][0].mul(wing[k]).mul(hpi[k][1]))

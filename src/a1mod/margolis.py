@@ -13,7 +13,7 @@ from .f2linalg import Subspace, complement, image, kernel
 
 __all__ = [
     "MargolisResult", "LocalityVerdict", "A0Decomposition",
-    "q0_map", "q1_map", "margolis_homology", "is_q0_local", "a0_decompose",
+    "q1_map", "margolis_homology", "is_q0_local", "a0_decompose",
 ]
 
 _SHIFT = {"Q0": 1, "Q1": 3}
@@ -52,10 +52,6 @@ class A0Decomposition:
     trivial: List[Tuple[int, int]]
 
 
-def q0_map(m: A1Module) -> GradedMap:
-    return m.sq1
-
-
 def q1_map(m: A1Module) -> GradedMap:
     """Q1 = Sq2 Sq1 + Sq1 Sq2, a degree 3 operator with Q1 Q1 = 0."""
     return m.sq2.compose(m.sq1).add(m.sq1.compose(m.sq2))
@@ -83,7 +79,7 @@ def margolis_homology(m: A1Module, op: str = "Q0", side: str = "module") -> Marg
         m = dualize(m)
     elif side != "module":
         raise ValueError(f"unknown side {side!r}")
-    q = q0_map(m) if op == "Q0" else q1_map(m)
+    q = m.sq1 if op == "Q0" else q1_map(m)
     shift = _SHIFT[op]
     lo_r, hi_r = _reliable_window(m, op)
     dims: Dict[int, int] = {}

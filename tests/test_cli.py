@@ -144,6 +144,34 @@ def test_chart_svg_wellformed(capsys, s1, tmp_path):
     assert root.tag.endswith("svg")
 
 
+def test_e2_chart_draws_d2_from_every_source_record(capsys, s1):
+    # d2: d5.0* -> d0.0* leaves the class at (5, 0) and again at (9, 2)
+    want = ["d2: (stem 5, sigma 0) -> (stem 4, sigma 2)",
+            "d2: (stem 9, sigma 2) -> (stem 8, sigma 4)"]
+    for sigma in ("4", "5"):
+        rec = record(capsys, "chart", s1, "--kind", "e2",
+                     "--max-sigma", sigma)
+        assert rec["payload"]["chart"].splitlines()[-2:] == want
+    svg = ET.fromstring(record(capsys, "chart", s1, "--kind", "e2", "--format",
+                               "svg", "--max-sigma", "4")["payload"]["chart"])
+    assert len([el for el in svg if el.tag.endswith("line")
+                and el.get("stroke") == "red"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["seagull", "--n", "1"], ["tensor", "{m}", "{m}"], ["sum", "{m}", "{m}"],
+    ["suspend", "{m}", "--by", "1"], ["dual", "{m}"], ["reduce", "{m}"],
+    ["chart", "{m}"]], ids=lambda argv: argv[0])
+def test_unwritable_output_exit_2(capsys, s1, tmp_path, argv):
+    path = tmp_path / "missing_dir" / "x.out"
+    code, out, err = run(capsys, *(a.format(m=s1) for a in argv),
+                         "-o", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "command": argv[0], "version": __version__,
+        "error": f"line 0: cannot write {path}: No such file or directory"}
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.mod"
     bad.write_text("gen x 0\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import a1core, davismahowald, f2linalg, margolis, structure
+from a1mod import (a1core, davismahowald, f2linalg, margolis, modfile,
+                   structure)
 from a1mod.a1core import (_word_matrix, apply_word, direct_sum, f2,
                           free_module, suspend, tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
@@ -59,6 +61,32 @@ def test_injective_resolution():
     stages = build_injective(6)
     checks = check_injective_exactness(stages)
     assert checks == {"complex": True, "exact": True, "r_t": True}
+    # stage 0's map is the augmentation 1 -> t_0
+    assert stages[0].f.apply(stages[0].t[0], 1) == stages[0].t[1]
+
+
+def _zero_like(f):
+    return a1core.GradedMap(f.source, f.target, f.shift, {})
+
+
+def test_exactness_checks_fail_on_a_zero_map():
+    # a zero map at stage 2 keeps every composite zero but leaves the
+    # kernel of stage 1's map larger than the image of stage 2's
+    dm = build_dm_complex(4)
+    dm[2] = dataclasses.replace(dm[2], boundary=_zero_like(dm[2].boundary))
+    checks = check_dm_exactness(dm, 40)
+    assert (checks["complex"], checks["exact"]) == (True, False)
+    inj = build_injective(4)
+    inj[2] = dataclasses.replace(inj[2], f=_zero_like(inj[2].f))
+    checks = check_injective_exactness(inj)
+    assert (checks["complex"], checks["exact"]) == (True, False)
+
+
+def test_exact_rejects_the_identity_twice():
+    m = structure.seagull(1)
+    one = a1core.GradedMap(m.space, m.space, 0, {
+        k: BitMatrix.identity(m.dim(k)) for k in m.space.degrees})
+    assert davismahowald._exact([one, one]) == (False, False)
 
 
 def test_e1_page_odd_sigma_vanishes():
@@ -193,6 +221,25 @@ def test_sq4_solution_satisfies_relation():
     _assert_homotopy(m, sq4_solver(m))
 
 
+def test_sq4_solver_visits_only_the_degrees_it_reads(monkeypatch):
+    # two classes far apart: the work depends on the degrees that hold
+    # classes, not on the gap between them
+    calls, kernel = [], davismahowald.kernel
+
+    def counting(a):
+        calls.append(a)
+        return kernel(a)
+
+    monkeypatch.setattr(davismahowald, "kernel", counting)
+    counts = []
+    for top in (2000, 20000):
+        calls.clear()
+        assert sq4_solver(modfile.parse_module(
+            f"module gap\ngen a 0\ngen b {top}\n")).feasible
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4 * 2
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_sq4_solver_matches_the_reference_solve(seed):
@@ -252,7 +299,7 @@ def test_dm_and_injective_maps_match_the_reference_solve(monkeypatch):
     monkeypatch.setattr(davismahowald, "linear_map_from_generators", both)
     build_dm_complex(10)
     build_injective(8)
-    assert len(calls) == 11 + 8 and all(calls)
+    assert len(calls) == 11 + 9 and all(calls)
 
 
 def test_no_solve_wider_than_two_degrees(monkeypatch):
