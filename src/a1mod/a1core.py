@@ -25,7 +25,7 @@ from .errors import RelationViolation, ShapeMismatch, TruncationTooTight
 from .f2linalg import BitMatrix, Subspace, mul_rows
 
 __all__ = [
-    "WORDS", "WORD_DEGREE", "LMUL", "TOP_WORD", "DUAL_WORD",
+    "WORDS", "WORD_DEGREE", "LMUL", "PRODUCT", "TOP_WORD", "DUAL_WORD",
     "GradedSpace", "GradedMap", "A1Module",
     "module", "module_from_edges", "validate", "f2", "free_module",
     "free_module_on", "zero_module",
@@ -63,19 +63,25 @@ LMUL: Dict[str, Dict[str, Optional[str]]] = {
 TOP_WORD = WORDS[-1]
 
 
-def _times(u: str, w: str) -> Optional[str]:
-    """The product u w (w first) as a word, or None when it vanishes."""
-    for i in range(len(u) - 3, -1, -3):  # rightmost factor of u first
-        w = LMUL[u[i:i + 3]][w]
-        if w is None:
-            return None
-    return w
+def _product() -> Dict[str, Dict[str, Optional[str]]]:
+    # u w = g (u' w) for u = g u': u' is shorter, so its row is already there
+    table: Dict[str, Dict[str, Optional[str]]] = {"1": {w: w for w in WORDS}}
+    for u in WORDS[1:]:
+        row = table[u[3:] or "1"]
+        table[u] = {w: None if row[w] is None else LMUL[u[:3]][row[w]]
+                    for w in WORDS}
+    return table
+
+
+# A(1)'s multiplication on the word basis: PRODUCT[u][w] is the word u w
+# (w first), None when the product vanishes.
+PRODUCT: Dict[str, Dict[str, Optional[str]]] = _product()
 
 
 def _dual_words() -> Dict[str, str]:
     # The coefficient of the top class in u w is a nondegenerate pairing
     # (A(1) is a Frobenius algebra), and the words form dual bases under it.
-    table = {w: [v for v in WORDS if _times(v, w) == TOP_WORD] for w in WORDS}
+    table = {w: [v for v in WORDS if PRODUCT[v][w] == TOP_WORD] for w in WORDS}
     assert all(len(v) == 1 for v in table.values()), table
     assert len({v[0] for v in table.values()}) == len(WORDS), table
     return {w: v[0] for w, v in table.items()}
@@ -206,13 +212,13 @@ class A1Module:
     def dim(self, k: int) -> int:
         return self.space.dim(k)
 
-    def degree_present(self, k: int) -> bool:
-        """True if degree k carries complete information."""
-        if self.truncated_above is not None and k > self.truncated_above:
-            return False
-        if self.truncated_below is not None and k < self.truncated_below:
-            return False
-        return True
+
+def _require_bottom(m: A1Module, task: str) -> None:
+    """Refuse a module truncated below: ``task`` starts at its bottom."""
+    if m.truncated_below is not None:
+        raise TruncationTooTight(
+            f"{task} needs the bottom of the module; it is truncated below "
+            f"degree {m.truncated_below}")
 
 
 def module(labels: Dict[int, List[str]],

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (A1Module, GradedMap, _word_matrix, apply_word, dualize,
-                     f2, free_module_on, linear_map_from_generators,
-                     module_from_edges, tensor)
+from .a1core import (WORD_DEGREE, A1Module, GradedMap, _word_matrix,
+                     apply_word, dualize, f2, free_module_on,
+                     linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, complement, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
@@ -74,12 +74,10 @@ class DMComplexStage:
     boundary: GradedMap                  # to the previous stage (F2 at 0)
 
 
-def _tensor_vector(t: A1Module, left_label: str, left_deg: int,
-                   right_label: str, right_deg: int) -> Tuple[int, int]:
-    d = left_deg + right_deg
-    lbl = f"{left_label}(x){right_label}"
-    idx = t.space.labels[d].index(lbl)
-    return d, 1 << idx
+def _tensor_vector(t: A1Module, left_label: str, right_label: str,
+                   d: int) -> Tuple[int, int]:
+    """The basis vector left (x) right of t in degree d, left in degree 0."""
+    return d, 1 << t.space.labels[d].index(f"{left_label}(x){right_label}")
 
 
 def _gen_split(sigma: int) -> Tuple[List[int], List[int]]:
@@ -117,7 +115,7 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
         if n is None:  # stage 0: no polynomial factor
             return 0, 1
         d = 2 * i + 3 * j
-        return _tensor_vector(stage_mod, bottom_label, 0, _mono_label(i, j), d)
+        return _tensor_vector(stage_mod, bottom_label, _mono_label(i, j), d)
 
     for sigma in range(1, max_sigma + 1):
         n = build_N(sigma)
@@ -245,13 +243,10 @@ def build_injective(max_s: int) -> List[InjectiveStage]:
             source, gsrcs, gvals = prev.module, [], []
             for k, gv in prev.gens.items():
                 acc = 0
-                for word, off in (("Sq1", 1), ("Sq2", 2),
-                                  ("Sq2Sq1", 3), ("Sq2Sq1Sq2", 5)):
-                    if k - off in gens:
-                        d, v = apply_word(mod, word, *gens[k - off])
-                        if d != k:
-                            raise ShapeMismatch("structure map degree error")
-                        acc ^= v
+                for word in ("Sq1", "Sq2", "Sq2Sq1", "Sq2Sq1Sq2"):
+                    if k - WORD_DEGREE[word] in gens:
+                        acc ^= apply_word(mod, word,
+                                          *gens[k - WORD_DEGREE[word]])[1]
                 gsrcs.append(gv)
                 gvals.append((k, acc))
         # the source is generated by gsrcs, so their values fix the map
@@ -302,14 +297,16 @@ class E3Page:
     generic: List[Tuple[int, int]]            # (dual degree, dim) for sigma >= 2
 
 
+def _class_label(k: int, i: int) -> str:
+    """The label of the i-th dual Q0-homology class in dual degree k."""
+    return f"d{-k}.{i}*"
+
+
 def _dual_homology(dual: A1Module):
     """Q0-homology of an already dualized module, with class labels."""
     h = margolis_homology(dual, "Q0")
-    classes: List[Tuple[int, str]] = []
-    for k in sorted(h.reps):
-        for i in range(len(h.reps[k])):
-            classes.append((k, f"d{-k}.{i}*"))
-    return h, classes
+    return h, [(k, _class_label(k, i))
+               for k in sorted(h.reps) for i in range(len(h.reps[k]))]
 
 
 def e1_page(m: A1Module, max_sigma: int) -> LocalizedE1:
@@ -328,9 +325,6 @@ def d2(m: A1Module) -> D2Data:
     h, classes = _dual_homology(dual)
     mats: Dict[int, BitMatrix] = {}
     pairs: List[Tuple[str, str]] = []
-    label_at = {}
-    for (delta, lbl) in classes:
-        label_at.setdefault(delta, []).append(lbl)
     for delta in sorted(h.reps):
         src_reps = h.reps[delta]
         tgt_delta = delta + 5
@@ -352,7 +346,8 @@ def d2(m: A1Module) -> D2Data:
         for c, v in enumerate(cols_out):
             for r in range(rows):
                 if (v >> r) & 1:
-                    pairs.append((label_at[delta][c], label_at[tgt_delta][r]))
+                    pairs.append((_class_label(delta, c),
+                                  _class_label(tgt_delta, r)))
         mats[delta] = BitMatrix.from_columns(rows, cols_out)
     return D2Data(classes, mats, sorted(set(pairs)))
 

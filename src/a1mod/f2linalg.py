@@ -27,19 +27,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import ShapeMismatch
 
 __all__ = [
-    "BitMatrix", "Subspace",
-    "popcount", "dot", "mul_rows", "insert", "canonical",
+    "BitMatrix", "Subspace", "mul_rows", "insert", "canonical",
     "rank", "solve", "kernel", "image", "complement",
 ]
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def dot(u: int, v: int) -> int:
-    """Standard bilinear pairing on F_2^n."""
-    return popcount(u & v) & 1
 
 
 @dataclass(frozen=True)
@@ -94,10 +84,10 @@ class BitMatrix:
         return all(r == 0 for r in self.data)
 
     def apply(self, v: int) -> int:
-        """Matrix-vector product: bit i of the result is <row i, v>."""
+        """Matrix-vector product: bit i is the parity of row i AND v."""
         out = 0
         for i, r in enumerate(self.data):
-            out |= dot(r, v) << i
+            out |= ((r & v).bit_count() & 1) << i
         return out
 
     def mul(self, other: "BitMatrix") -> "BitMatrix":

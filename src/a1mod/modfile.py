@@ -33,7 +33,8 @@ class ModuleFile:
     sq2: Dict[str, List[str]] = field(default_factory=dict)
     truncated_above: Optional[int] = None
     truncated_below: Optional[int] = None
-    action_lines: Dict[str, int] = field(default_factory=dict)  # source label -> line
+    # (source degree, line) of each action declaration
+    action_lines: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def parse(text: str) -> ModuleFile:
@@ -74,7 +75,6 @@ def parse(text: str) -> ModuleFile:
             if lhs not in seen_gens:
                 raise ParseError(line_no, f"unknown label {lhs!r}")
             table = mf.sq1 if kw == "sq1" else mf.sq2
-            key = f"{kw}:{lhs}"
             if lhs in table:
                 raise ParseError(line_no, f"duplicate {kw} declaration for {lhs!r}")
             step = 1 if kw == "sq1" else 2
@@ -91,7 +91,7 @@ def parse(text: str) -> ModuleFile:
                             f"{seen_gens[t]}")
                     targets.append(t)
             table[lhs] = targets
-            mf.action_lines[key] = line_no
+            mf.action_lines.append((seen_gens[lhs], line_no))
         elif kw in ("truncated_above", "truncated_below"):
             if len(parts) != 2:
                 raise ParseError(line_no, f"expected: {kw} <degree>")
@@ -116,10 +116,8 @@ def to_module(mf: ModuleFile) -> A1Module:
                                  truncated_below=mf.truncated_below,
                                  name=mf.name)
     except RelationViolation as e:
-        degree = dict(mf.gens)
-        lines = sorted(ln for key, ln in mf.action_lines.items()
-                       if degree[key.split(":", 1)[1]] in
-                       range(e.degree, e.degree + 5))
+        lines = sorted(ln for deg, ln in mf.action_lines
+                       if deg in range(e.degree, e.degree + 5))
         raise ParseError(lines[0] if lines else 1,
                          f"{e} (from the action declarations on lines {lines})")
 

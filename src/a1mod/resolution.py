@@ -1,17 +1,15 @@
 """Minimal free resolutions over the exterior algebra on Sq1 and over the
 full Sq1,Sq2 subalgebra, with generator-count charts and tower counting
 along fixed stems.
-
-``_PRODUCT`` is A(1)'s multiplication on the word basis, built once from
-``a1core._times``: a stage acts on the cells of the stage below through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .a1core import WORD_DEGREE, WORDS, A1Module, _times, apply_word
+from .a1core import (PRODUCT, WORD_DEGREE, WORDS, A1Module, _require_bottom,
+                     apply_word)
 from .errors import NotStabilized, TruncationTooTight
 from .f2linalg import insert
 
@@ -24,11 +22,6 @@ __all__ = [
 # The exterior algebra on Sq1 is spanned by the first two words of A(1), and
 # its products are those of A(1).
 _ALGEBRAS = {"a0": WORDS[:2], "a1": WORDS}
-
-# A(1)'s multiplication on the word basis: _PRODUCT[w][u] is the word w u,
-# None when the product vanishes.
-_PRODUCT: Dict[str, Dict[str, Optional[str]]] = {
-    w: {u: _times(w, u) for u in WORDS} for w in WORDS}
 
 
 @dataclass
@@ -63,7 +56,7 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
     Each stage is built degree by degree.  In degree t its cells w g
     (|w| > 0, g below t) map to w d(g), formed when g becomes a generator:
     ``apply_word`` on the module at s = 0, the product w (g', u) = (g', w u)
-    in the previous stage after.  That product is read off ``_PRODUCT``,
+    in the previous stage after.  That product is read off ``a1core.PRODUCT``,
     and its bit off a map from each generator's words to the bits of its
     cells, filled in as the cells are filed.  One elimination takes each
     cell's image with the cell's bit above the target's n bits.  Each
@@ -76,9 +69,14 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
     generator covers a vector, so a stage visits only the degrees up to
     ``max_t`` that hold cover vectors or pending cells w g, lowest first;
     elsewhere it has no cells and adds no kernel.
+
+    Raises ``TruncationTooTight`` for a module truncated below, whose
+    bottom the first stage would cover, and for one truncated above below
+    ``max_t``.
     """
     if algebra not in _ALGEBRAS:
         raise ValueError(f"unknown algebra {algebra!r}")
+    _require_bottom(m, "a resolution")
     if m.truncated_above is not None and m.truncated_above < max_t:
         raise TruncationTooTight(
             f"resolving through degree {max_t} needs the module beyond its "
@@ -109,7 +107,7 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
                 v ^= low
             out = []
             for w in ws:
-                product, image = _PRODUCT[w], 0
+                product, image = PRODUCT[w], 0
                 for bits, u in terms:
                     wu = product[u]
                     if wu is not None:

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
-                     _word_matrix, apply_word, direct_sum, free_module, module,
-                     module_from_edges, tensor, truncate, zero_module)
+                     _require_bottom, _word_matrix, apply_word, direct_sum,
+                     free_module, module, module_from_edges, tensor, truncate,
+                     zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import BitMatrix, Subspace, complement, kernel, mul_rows, solve
 from .margolis import is_q0_local
@@ -212,13 +213,6 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
             {k: len(gens) for k, (gens, _) in cells.items()})
 
 
-def _require_bottom(m: A1Module) -> None:
-    if m.truncated_below is not None:
-        raise TruncationTooTight(
-            f"classification needs the bottom of the module; it is truncated "
-            f"below degree {m.truncated_below}")
-
-
 def classify(m: A1Module) -> DecompositionReport:
     """Decompose a bounded-below Q0-local module into seagulls plus a free
     part, by induction over degrees.
@@ -239,7 +233,7 @@ def classify(m: A1Module) -> DecompositionReport:
     and TruncationTooTight for a module truncated below: the induction
     starts at the bottom degree, which such a module does not carry.
     """
-    _require_bottom(m)
+    _require_bottom(m, "classification")
     log: List[str] = []
     red, free_ranks = strip_free(m)
     verdict = is_q0_local(red)
@@ -247,7 +241,8 @@ def classify(m: A1Module) -> DecompositionReport:
         raise NotQ0Local(verdict.witness_degree)
     cut = red.truncated_above
 
-    seagulls: List[Dict] = []  # {"gens": [(deg, vec)], "alpha": int}
+    # per seagull: its (degree, vector) generators, its bottom degree first
+    seagulls: List[List[Tuple[int, int]]] = []
     residue: List[int] = []
     sub: Dict[int, Tuple[int, ...]] = {}  # degree -> basis of C there
 
@@ -280,7 +275,7 @@ def classify(m: A1Module) -> DecompositionReport:
             new_vectors.append(b)
             if ((cut is None or k + 5 <= cut)
                     and apply_word(red, "Sq2Sq1Sq2", k, b)[1]):
-                seagulls.append({"alpha": k, "gens": [(k, b)]})
+                seagulls.append([(k, b)])
                 continue
             unresolved(k, "unresolved kernel generator",
                        "kernel class with vanishing Sq2Sq1Sq2")
@@ -300,7 +295,7 @@ def classify(m: A1Module) -> DecompositionReport:
             avail_hit = []
             for i in hit:
                 if i in lengthened:
-                    b_hat ^= seagulls[i]["gens"][-1][1]
+                    b_hat ^= seagulls[i][-1][1]
                 else:
                     avail_hit.append(i)
             if not avail_hit:
@@ -308,12 +303,12 @@ def classify(m: A1Module) -> DecompositionReport:
                 unresolved(k, "no available seagull",
                            "no available seagull to extend")
                 continue
-            p = min(avail_hit, key=lambda i: seagulls[i]["alpha"])
+            p = min(avail_hit, key=lambda i: seagulls[i][0][0])
             merged: Dict[int, int] = {}
             for i in avail_hit:
-                for d, v in seagulls[i]["gens"]:
+                for d, v in seagulls[i]:
                     merged[d] = merged.get(d, 0) ^ v
-            seagulls[p]["gens"] = sorted(merged.items()) + [(k, b_hat)]
+            seagulls[p] = sorted(merged.items()) + [(k, b_hat)]
             lengthened.append(p)
             new_vectors.append(b_hat)
 
@@ -321,18 +316,16 @@ def classify(m: A1Module) -> DecompositionReport:
             sub[k] = Subspace.span(base.basis + tuple(new_vectors), dk).basis
 
     entries = []
-    witnesses = []
     residue_set = set(residue)
-    for s in seagulls:
-        top = s["gens"][-1][0]
+    for gens in seagulls:
+        top = gens[-1][0]
         # exact only when the degree where the next generator would have
         # attached was decided cleanly below the boundary zone
         exact = cut is None or (top <= cut - BOUNDARY
                                 and top + 4 not in residue_set)
-        entries.append(SeagullEntry(s["alpha"], len(s["gens"]), exact))
-        witnesses.append(s["gens"])
+        entries.append(SeagullEntry(gens[0][0], len(gens), exact))
     desc = FlockDescriptor.make(entries, free_ranks.items(), cutoff=cut)
-    return DecompositionReport(desc, witnesses, residue, log)
+    return DecompositionReport(desc, seagulls, residue, log)
 
 
 def _step1_system(red, sub, k):
@@ -369,10 +362,10 @@ def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
     # step 2: express Sq1 b_hat through Sq2Sq1Sq2 of degree k-4 generators
     rhs = red.sq1.apply(k, b_hat)
     cand = [i for i, s in enumerate(seagulls)
-            if any(d == k - 4 for d, _ in s["gens"])]
+            if any(d == k - 4 for d, _ in s)]
     ccols = []
     for i in cand:
-        gvec = next(v for d, v in seagulls[i]["gens"] if d == k - 4)
+        gvec = next(v for d, v in seagulls[i] if d == k - 4)
         ccols.append(wing.apply(gvec))
     y = solve(BitMatrix.from_columns(dk1, ccols), rhs)
     if y is None:
@@ -384,7 +377,7 @@ def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
 def localize_q0(m: A1Module, cutoff: Optional[int] = None) -> DecompositionReport:
     """Classify the Q0-localization: tensor with a truncated infinite seagull
     and decompose.  The result carries the effective cutoff."""
-    _require_bottom(m)
+    _require_bottom(m, "classification")
     if m.lo is None:
         return classify(m)
     if cutoff is None:

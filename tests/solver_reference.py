@@ -16,8 +16,8 @@ same inputs.
 
 from typing import Dict, List, Optional, Tuple
 
-from a1mod.a1core import (WORD_DEGREE, A1Module, GradedMap, GradedSpace,
-                          _bound, _extent, _shifted, _times, _word_matrix,
+from a1mod.a1core import (PRODUCT, WORD_DEGREE, A1Module, GradedMap,
+                          GradedSpace, _bound, _extent, _shifted, _word_matrix,
                           apply_word, module, zero_module)
 from a1mod.errors import ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix, insert
@@ -100,6 +100,15 @@ def _solve_packed(rows: List[int], rhs: List[int], n: int):
     return solve_reference(BitMatrix(len(rows), n, tuple(rows)), b)
 
 
+def degree_present(m: A1Module, k: int) -> bool:
+    """True if degree k of m carries complete information."""
+    if m.truncated_above is not None and k > m.truncated_above:
+        return False
+    if m.truncated_below is not None and k < m.truncated_below:
+        return False
+    return True
+
+
 def linear_map_reference(source: A1Module, target: A1Module,
                          gens: List[Tuple[int, int]],
                          values: List[Tuple[int, int]],
@@ -128,8 +137,8 @@ def linear_map_reference(source: A1Module, target: A1Module,
             rows_out = target.dim(out_deg + shift)
             if rows_out == 0 and source.dim(out_deg) == 0:
                 continue
-            if not (target.degree_present(out_deg + shift)
-                    and source.degree_present(out_deg)):
+            if not (degree_present(target, out_deg + shift)
+                    and degree_present(source, out_deg)):
                 continue
             smat, tmat = s_map.mat(k), t_map.mat(tk)
             for r in range(rows_out):
@@ -304,6 +313,10 @@ def minimal_resolution_reference(m: A1Module, algebra: str = "a1",
     """
     if algebra not in _ALGEBRAS:
         raise ValueError(f"unknown algebra {algebra!r}")
+    if m.truncated_below is not None:
+        raise TruncationTooTight(
+            f"a resolution needs the bottom of the module; it is truncated "
+            f"below degree {m.truncated_below}")
     if m.truncated_above is not None and m.truncated_above < max_t:
         raise TruncationTooTight(
             f"resolving through degree {max_t} needs the module beyond its "
@@ -326,7 +339,7 @@ def minimal_resolution_reference(m: A1Module, algebra: str = "a1",
             while v:
                 low = v & -v
                 g, u = prev.basis[k][low.bit_length() - 1]
-                wu = _times(w, u)
+                wu = PRODUCT[w][u]
                 if wu is not None:
                     out ^= 1 << index[k + WORD_DEGREE[w]][(g, wu)]
                 v ^= low

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, structure
-from a1mod.a1core import (DUAL_WORD, LMUL, TOP_WORD, WORD_DEGREE, WORDS,
-                          apply_word, direct_sum, dualize, f2, free_module,
-                          free_module_on, linear_map_from_generators, module,
-                          module_from_edges, suspend, tensor,
-                          truncate, validate)
+from a1mod.a1core import (DUAL_WORD, LMUL, PRODUCT, TOP_WORD, WORD_DEGREE,
+                          WORDS, apply_word, direct_sum, dualize, f2,
+                          free_module, free_module_on,
+                          linear_map_from_generators, module,
+                          module_from_edges, suspend, tensor, truncate,
+                          validate)
 from a1mod.errors import RelationViolation, ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix, Subspace, rank
 from a1mod.margolis import margolis_homology
@@ -346,6 +347,17 @@ def test_tensor_validates(n1, n2):
 
 
 WORD_PAIRS = [(w1, w2) for w1 in ("Sq1", "Sq2") for w2 in WORDS if w2 != "1"]
+
+
+def test_product_is_the_action_on_a1():
+    # all 64 products u w against applying w, then u, to the generator
+    a1 = free_module()
+    for u in WORDS:
+        for w in WORDS:
+            d, v = apply_word(a1, u, *apply_word(a1, w, 0, 1))
+            uw = PRODUCT[u][w]
+            want = (d, 0) if uw is None else apply_word(a1, uw, 0, 1)
+            assert (d, v) == want, (u, w)
 
 
 def test_apply_word_respects_lmul():

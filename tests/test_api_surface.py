@@ -1,7 +1,8 @@
 """Every exported name exists, and so does every layer that the benchmark's
 tracer (``perfbench/spans.py``) wraps, so that deleting a function cannot
 silently break ``perfbench/run.py --trace 1``.  Every function, method and
-class the package defines is used somewhere, so none is dead."""
+class the package defines, and every name it assigns at module level, is
+used somewhere, so none is dead."""
 
 import ast
 import importlib
@@ -50,7 +51,8 @@ def test_every_definition_is_referenced():
             tree = ast.parse(path.read_text(), str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    used.add(node.id)
+                    if not isinstance(node.ctx, ast.Store):  # not a target
+                        used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                 elif isinstance(node, ast.alias):
@@ -59,4 +61,12 @@ def test_every_definition_is_referenced():
                         node, (ast.FunctionDef, ast.ClassDef))
                         and not node.name.startswith("__")):
                     defined.append((f"{path.name}:{node.lineno}", node.name))
+            # module-level constants and tables
+            for node in tree.body if folder == "src" else ():
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    defined += [(f"{path.name}:{node.lineno}", t.id)
+                                for t in ast.walk(node)
+                                if isinstance(t, ast.Name)
+                                and isinstance(t.ctx, ast.Store)
+                                and not t.id.startswith("__")]
     assert [d for d in defined if d[1] not in used] == []

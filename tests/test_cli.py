@@ -208,13 +208,16 @@ def test_domain_error_exit_1(capsys, tmp_path):
 
 
 def test_floor_refused_exit_1(capsys, tmp_path):
-    # classification starts at the bottom degree, which a module truncated
-    # below does not carry
+    # classification and resolutions start at the bottom degree, which a
+    # module truncated below does not carry
     sinf, dual = tmp_path / "sinf.mod", tmp_path / "dual.mod"
     record(capsys, "seagull", "--infinite", "--cutoff", "20", "-o", str(sinf))
     record(capsys, "dual", str(sinf), "-o", str(dual))
-    for command in ("classify", "localize", "lift-check"):
-        code, out, err = run(capsys, command, str(dual))
+    for command in (["classify"], ["localize"], ["lift-check"],
+                    ["ext", "--max-s", "2", "--max-t", "0"],
+                    ["towers", "--max-stem", "4"],
+                    ["chart", "--kind", "towers"]):
+        code, out, err = run(capsys, command[0], str(dual), *command[1:])
         assert code == 1 and out == ""
         assert json.loads(err)["error"].endswith("truncated below degree -20")
 

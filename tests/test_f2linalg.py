@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from a1mod import f2linalg
 from a1mod.errors import ShapeMismatch
 from a1mod.f2linalg import (BitMatrix, Subspace, complement, image, kernel,
-                            popcount, rank, solve)
+                            rank, solve)
 from solver_reference import (complement_reference, kernel_reference,
                               rank_reference, solve_reference, span_reference)
 
@@ -229,8 +229,3 @@ def test_mul_matches_entrywise_product_and_associates(seed, dims):
                rand_matrix(rng, c, d))
     assert a.mul(b) == reference_product(a, b)
     assert a.mul(b).mul(e) == a.mul(b.mul(e))
-
-
-@given(st.integers(0, 2**200))
-def test_popcount_counts_set_bits(x):
-    assert popcount(x) == bin(x).count("1")

@@ -68,11 +68,16 @@ def test_parse_errors(text, line, fragment):
 
 
 def test_relation_violation_points_at_lines():
-    text = ("module m\ngen a 0\ngen b 1\ngen c 2\n"
-            "sq1 a = b\nsq1 b = c\n")
+    # Sq1 Sq1 a = c fails at degree 0; only the declarations on sources in
+    # degrees 0..4 are listed, not the one on x in degree 10
+    text = ("module m\ngen a 0\ngen b 1\ngen c 2\ngen x 10\ngen y 11\n"
+            "sq1 x = y\nsq1 a = b\nsq1 b = c\n")
     with pytest.raises(ParseError) as exc:
         parse_module(text)
-    assert "Sq1" in str(exc.value) or "relation" in str(exc.value).lower()
+    assert exc.value.line_no == 8
+    assert "Sq1 Sq1" in str(exc.value)
+    assert str(exc.value).endswith(
+        "(from the action declarations on lines [8, 9])")
 
 
 def test_undeclared_actions_are_zero():

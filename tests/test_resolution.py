@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, f2linalg, structure
-from a1mod.a1core import (_times, apply_word, direct_sum, dualize, suspend,
+from a1mod.a1core import (PRODUCT, apply_word, direct_sum, dualize, suspend,
                           tensor)
 from a1mod.davismahowald import localized_ext
 from a1mod.errors import NotStabilized, TruncationTooTight
@@ -50,7 +50,7 @@ def _differential(m, stages, s, k, v):
             continue
         below = stages[s - 1].basis
         for j, (h, u) in enumerate(below[gk]):
-            wu = _times(w, u)
+            wu = PRODUCT[w][u]
             if gv >> j & 1 and wu is not None:
                 out ^= 1 << below[k].index((h, wu))
     return out
@@ -79,6 +79,18 @@ def test_truncated_input_rejected():
     m = structure.seagull_inf(10)
     with pytest.raises(TruncationTooTight):
         minimal_resolution(m, max_s=4, max_t=20)
+
+
+def test_floor_rejected():
+    # the first stage would cover the cut bottom as if it were real
+    m = dualize(structure.seagull_inf(20))
+    want = ("a resolution needs the bottom of the module; it is truncated "
+            "below degree -20")
+    for call in (lambda: ext_dims(m, "a1", 2, 0),
+                 lambda: h0_tower_counts(m, 4)):
+        with pytest.raises(TruncationTooTight) as exc:
+            call()
+        assert str(exc.value) == want
 
 
 def test_f2_towers():
