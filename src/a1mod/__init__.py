@@ -13,7 +13,7 @@ from .davismahowald import (d2, e1_page, e3_page, lift_check, localized_ext,
 from .errors import A1ModError
 from .margolis import a0_decompose, is_q0_local, margolis_homology
 from .modfile import parse_module, serialize
-from .resolution import ext_dims, h0_tower_count, minimal_resolution
+from .resolution import ext_dims, minimal_resolution
 from .structure import (classify, localize_q0, realize, seagull, seagull_inf,
                         stably_equivalent, strip_free)
 

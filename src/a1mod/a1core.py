@@ -531,15 +531,14 @@ def dualize(m: A1Module) -> A1Module:
 
 def linear_map_from_generators(source: A1Module, target: A1Module,
                                gens: List[Tuple[int, int]],
-                               values: List[Tuple[int, int]],
-                               shift: int = 0) -> GradedMap:
-    """The action-preserving degree-``shift`` map sending each generator to
-    its prescribed value.
+                               values: List[Tuple[int, int]]) -> GradedMap:
+    """The action-preserving degree-0 map sending each generator to its
+    prescribed value.
 
     ``gens`` are (degree, vector) in the source; ``values`` the matching
-    (degree, vector) in the target (degree must be gen degree + shift).  The
-    generators must generate the source: then the map is fixed by
-    w g_i -> w v_i over the words w (Margolis, 1983), so in degree k it is
+    (degree, vector) in the target, in the same degree.  The generators must
+    generate the source: then the map is fixed by w g_i -> w v_i over the
+    words w (Margolis, 1983), so in degree k it is
     V_k S_k^+, where S_k holds the columns w g_i and V_k the columns w v_i.
     It exists exactly when ker S_k lies in ker V_k.  Both conditions are read
     off one elimination of the pairs (w g_i, w v_i), whose span is the graph
@@ -547,7 +546,7 @@ def linear_map_from_generators(source: A1Module, target: A1Module,
     """
     pairs: Dict[int, List[int]] = {}  # degree -> w g_i | w v_i << dim
     for (gk, gv), (vk, vv) in zip(gens, values):
-        if vk != gk + shift:
+        if vk != gk:
             raise ShapeMismatch("generator value in the wrong degree")
         for w in WORDS:
             k, s = apply_word(source, w, gk, gv)
@@ -557,14 +556,14 @@ def linear_map_from_generators(source: A1Module, target: A1Module,
     mats = {}
     for k in sorted(set(pairs) | set(source.space.degrees)):
         n = source.dim(k)
-        graph = Subspace.span(pairs.get(k, ()), n + target.dim(k + shift)).basis
+        graph = Subspace.span(pairs.get(k, ()), n + target.dim(k)).basis
         if any(r & ((1 << n) - 1) == 0 for r in graph):
             raise ShapeMismatch("no action-preserving map with the given values")
         if len(graph) < n:
             raise ShapeMismatch(f"the generators do not generate the source in "
                                 f"degree {k}")
         if n:  # the reduced graph has pivots 0..n-1: row i is e_i | F e_i << n
-            mats[k] = BitMatrix.from_columns(target.dim(k + shift),
+            mats[k] = BitMatrix.from_columns(target.dim(k),
                                              [r >> n for r in graph])
-    return GradedMap(source.space, target.space, shift, mats)
+    return GradedMap(source.space, target.space, 0, mats)
 

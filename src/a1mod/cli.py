@@ -81,7 +81,8 @@ def _cutoff(args, m: a1core.A1Module) -> Optional[int]:
 
 
 def _dims(m: a1core.A1Module) -> Dict[str, int]:
-    return {str(k): m.space.dim(k) for k in m.space.degrees}
+    # string keys, so that json.dumps sorts them as text
+    return {str(k): d for k, d in m.space.dims().items()}
 
 
 def _report_json(report: structure.DecompositionReport) -> Dict:
@@ -114,13 +115,12 @@ def _cmd_validate(args, m):
 
 
 def _cmd_info(args, m):
-    degrees = m.space.degrees
     return {
         "name": m.name,
         "dims": _dims(m),
-        "total_dim": sum(m.space.dim(k) for k in degrees),
-        "lowest": degrees[0] if degrees else None,
-        "highest": degrees[-1] if degrees else None,
+        "total_dim": m.space.total_dim(),
+        "lowest": m.lo,
+        "highest": m.hi,
         "truncated_above": m.truncated_above,
         "truncated_below": m.truncated_below,
     }, None
@@ -128,7 +128,8 @@ def _cmd_info(args, m):
 
 def _cmd_margolis(args, m):
     side = "dual" if args.dual else "module"
-    res = margolis.margolis_homology(m, args.operator.upper(), side)
+    res = margolis.margolis_homology(a1core.dualize(m) if args.dual else m,
+                                     args.operator.upper())
     payload = {
         "operator": res.op,
         "side": side,

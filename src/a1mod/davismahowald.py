@@ -37,7 +37,6 @@ def _mono_label(i: int, j: int) -> str:
 
 @dataclass
 class NSigma:
-    sigma: int
     module: A1Module
     monomials: List[Tuple[int, int]]   # (i, j) with i + j = sigma
 
@@ -57,7 +56,7 @@ def build_N(sigma: int) -> NSigma:
            for i, j in monomials if i > 0 and j % 2 == 0]
     sq2 = [(_mono_label(i, j), _mono_label(i - 2, j + 2))
            for i, j in monomials if i > 1 and j % 4 in (0, 1)]
-    return NSigma(sigma, module_from_edges(cells, sq1, sq2, name=f"N({sigma})"),
+    return NSigma(module_from_edges(cells, sq1, sq2, name=f"N({sigma})"),
                   monomials)
 
 
@@ -67,10 +66,8 @@ def build_N(sigma: int) -> NSigma:
 
 @dataclass
 class DMComplexStage:
-    sigma: int
     module: A1Module
     a_gens: List[Tuple[str, int, int]]   # (label, degree, vector)
-    b_gens: List[Tuple[str, int, int]]
     boundary: GradedMap                  # to the previous stage (F2 at 0)
 
 
@@ -106,8 +103,8 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
     bottom_label = wing.space.labels[0][0]
     stages: List[DMComplexStage] = []
     # stage 0: the seagull itself, augmented to F2
-    aug = linear_map_from_generators(wing, f2(), [(0, 1)], [(0, 1)], shift=0)
-    stages.append(DMComplexStage(0, wing, [], [(bottom_label, 0, 1)], aug))
+    aug = linear_map_from_generators(wing, f2(), [(0, 1)], [(0, 1)])
+    stages.append(DMComplexStage(wing, [], aug))
     prev = wing
     prev_n: Optional[NSigma] = None
 
@@ -124,7 +121,6 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
         gens: List[Tuple[int, int]] = []
         values: List[Tuple[int, int]] = []
         a_gens: List[Tuple[str, int, int]] = []
-        b_gens: List[Tuple[str, int, int]] = []
 
         def target_word(word: str, i: int, j: int) -> Tuple[int, int]:
             d, v = gen_vec(prev, prev_n, i, j)
@@ -142,9 +138,7 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
         r = sigma % 4
         for i in b_exp:
             j = sigma - i
-            d, v = gen_vec(mod, n, i, j)
-            b_gens.append((_mono_label(i, j), d, v))
-            gens.append((d, v))
+            gens.append(gen_vec(mod, n, i, j))
             if r == 0:
                 values.append(target_word("Sq1Sq2Sq1Sq2", 3, sigma - 4))
             elif r == 1:
@@ -154,14 +148,11 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
                     values.append(target_word("Sq2", 1, sigma - 2))
                 else:
                     values.append(target_word("Sq2Sq2", 1, sigma - 2))
-            else:
+            else:  # both terms lie in degree 3 sigma - 3
                 td, tv = target_word("Sq2", 2, sigma - 3)
-                ed, ev = gen_vec(prev, prev_n, 0, sigma - 1)
-                if ed != td:
-                    raise ShapeMismatch("boundary terms in different degrees")
-                values.append((td, tv ^ ev))
-        boundary = linear_map_from_generators(mod, prev, gens, values, shift=0)
-        stages.append(DMComplexStage(sigma, mod, a_gens, b_gens, boundary))
+                values.append((td, tv ^ gen_vec(prev, prev_n, 0, sigma - 1)[1]))
+        boundary = linear_map_from_generators(mod, prev, gens, values)
+        stages.append(DMComplexStage(mod, a_gens, boundary))
         prev, prev_n = mod, n
     return stages
 
@@ -250,7 +241,7 @@ def build_injective(max_s: int) -> List[InjectiveStage]:
                 gsrcs.append(gv)
                 gvals.append((k, acc))
         # the source is generated by gsrcs, so their values fix the map
-        fmap = linear_map_from_generators(source, mod, gsrcs, gvals, shift=0)
+        fmap = linear_map_from_generators(source, mod, gsrcs, gvals)
         stages.append(InjectiveStage(s, mod, gens, fmap, r_vec, t_vec))
         prev = stages[-1]
     return stages
@@ -379,14 +370,8 @@ class LocalizedExt:
         return sorted(k for k, v in self.stems.items() if v)
 
 
-def seagull_localized_ext(n: Optional[int], shift: int = 0,
-                          max_stem: Optional[int] = None) -> List[int]:
-    """Stems carrying h0-towers for a length-n seagull (n=None: unbounded)."""
-    if n is None:
-        if max_stem is None:
-            raise ValueError("unbounded seagull needs a stem bound")
-        return [shift + 4 * k for k in range(max_stem // 4 + 1)
-                if shift + 4 * k <= max_stem]
+def seagull_localized_ext(n: int, shift: int = 0) -> List[int]:
+    """Stems carrying h0-towers for a length-n seagull."""
     return [shift + 4 * k for k in range(n)]
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import A1Module, GradedMap, dualize
+from .a1core import A1Module, GradedMap
 from .f2linalg import Subspace, complement, image, kernel
 
 __all__ = [
@@ -67,18 +67,14 @@ def _reliable_window(m: A1Module, op: str) -> Tuple[Optional[int], Optional[int]
     return lo, hi
 
 
-def margolis_homology(m: A1Module, op: str = "Q0", side: str = "module") -> MargolisResult:
+def margolis_homology(m: A1Module, op: str = "Q0") -> MargolisResult:
     """Degreewise ker/im homology of Q0 or Q1.
 
-    ``side='dual'`` computes on the degreewise dual (right action); the
-    dimensions agree with the module side at negated degrees.
+    For the dual side pass ``a1core.dualize(m)``; its dimensions agree with
+    those of m at negated degrees.
     """
     if op not in _SHIFT:
         raise ValueError(f"unknown operator {op!r}")
-    if side == "dual":
-        m = dualize(m)
-    elif side != "module":
-        raise ValueError(f"unknown side {side!r}")
     q = m.sq1 if op == "Q0" else q1_map(m)
     shift = _SHIFT[op]
     lo_r, hi_r = _reliable_window(m, op)

@@ -15,7 +15,7 @@ from .f2linalg import insert
 
 __all__ = [
     "ResolutionStage", "ExtChart",
-    "minimal_resolution", "ext_dims", "h0_tower_count", "h0_tower_counts",
+    "minimal_resolution", "ext_dims", "h0_tower_counts",
     "tower_base",
 ]
 
@@ -187,7 +187,3 @@ def h0_tower_counts(m: A1Module, max_stem: int) -> Dict[int, int]:
             raise NotStabilized(stem, vals)
         out[stem] = vals[0]
     return out
-
-
-def h0_tower_count(m: A1Module, stem: int) -> int:
-    return h0_tower_counts(m, stem)[stem]

@@ -238,7 +238,7 @@ def test_dualize_roundtrip():
 def test_linear_map_from_generators_identity():
     m = structure.seagull(2)
     got = linear_map_from_generators(m, m, [(0, 1), (4, 1)],
-                                     [(0, 1), (4, 1)], 0)
+                                     [(0, 1), (4, 1)])
     assert got is not None
     for k in m.space.degrees:
         assert got.mat(k).data == BitMatrix.identity(m.space.dim(k)).data
@@ -246,17 +246,17 @@ def test_linear_map_from_generators_identity():
 
 def test_linear_map_infeasible():
     m = structure.seagull(1)
-    aug = linear_map_from_generators(m, f2(), [(0, 1)], [(0, 1)], 0)
+    aug = linear_map_from_generators(m, f2(), [(0, 1)], [(0, 1)])
     assert [k for k in m.space.degrees if not aug.mat(k).is_zero()] == [0]
     # no module map can send the middle class of a seagull to a class not
     # hit by Sq2: the middle class does not generate the seagull
     with pytest.raises(ShapeMismatch, match="do not generate"):
-        linear_map_from_generators(m, suspend(f2(), 2), [(2, 1)], [(2, 1)], 0)
+        linear_map_from_generators(m, suspend(f2(), 2), [(2, 1)], [(2, 1)])
     # Sq1 kills the class of F2 but not the generator of A(1)
     with pytest.raises(ShapeMismatch, match="no action-preserving map"):
-        linear_map_from_generators(f2(), free_module(), [(0, 1)], [(0, 1)], 0)
+        linear_map_from_generators(f2(), free_module(), [(0, 1)], [(0, 1)])
     with pytest.raises(ShapeMismatch, match="wrong degree"):
-        linear_map_from_generators(m, f2(), [(0, 1)], [(1, 1)], 0)
+        linear_map_from_generators(m, f2(), [(0, 1)], [(1, 1)])
 
 
 def test_linear_map_matches_the_reference_solve():

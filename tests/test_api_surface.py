@@ -2,7 +2,8 @@
 tracer (``perfbench/spans.py``) wraps, so that deleting a function cannot
 silently break ``perfbench/run.py --trace 1``.  Every function, method and
 class the package defines, and every name it assigns at module level, is
-used somewhere, so none is dead."""
+used somewhere, and every field of its dataclasses is read, so none is
+dead."""
 
 import ast
 import importlib
@@ -42,10 +43,16 @@ def test_traced_layers_resolve(layer):
         assert callable(target)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
 def test_every_definition_is_referenced():
     used = {part for _, _, attrs, _, _ in _traced_layers()
             for attr in attrs for part in attr.split(".")}
-    defined = []
+    read = set()  # names read as attributes
+    defined, fields = [], []
     for folder in ("src", "tests", "perfbench", "demos"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
@@ -55,12 +62,19 @@ def test_every_definition_is_referenced():
                         used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
                 elif isinstance(node, ast.alias):
                     used.update(node.name.split("."))
                 elif (folder == "src" and isinstance(
                         node, (ast.FunctionDef, ast.ClassDef))
                         and not node.name.startswith("__")):
                     defined.append((f"{path.name}:{node.lineno}", node.name))
+                    if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                        fields += [(f"{path.name}:{f.lineno}",
+                                    f"{node.name}.{f.target.id}")
+                                   for f in node.body
+                                   if isinstance(f, ast.AnnAssign)]
             # module-level constants and tables
             for node in tree.body if folder == "src" else ():
                 if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -70,3 +84,5 @@ def test_every_definition_is_referenced():
                                 and isinstance(t.ctx, ast.Store)
                                 and not t.id.startswith("__")]
     assert [d for d in defined if d[1] not in used] == []
+    # every dataclass field is read somewhere
+    assert [f for f in fields if f[1].split(".")[1] not in read] == []

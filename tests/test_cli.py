@@ -81,6 +81,15 @@ def test_suspend_sum_dual(capsys, s1, tmp_path):
     assert "module_text" in rec["payload"]
 
 
+def test_dual_of_labels_with_separators_reads_back(capsys, tmp_path):
+    src, dual = tmp_path / "m.mod", tmp_path / "d.mod"
+    src.write_text("module m\ngen a+b 0\ngen c 1\nsq1 a+b = c\n")
+    record(capsys, "dual", str(src), "-o", str(dual))
+    assert "sq1 c* = a_b*" in dual.read_text()
+    assert record(capsys, "info", str(dual))["payload"]["dims"] == \
+        {"-1": 1, "0": 1}
+
+
 def test_ext_and_towers(capsys, s1):
     rec = record(capsys, "ext", s1, "--algebra", "a1",
                  "--max-s", "6", "--max-t", "12")

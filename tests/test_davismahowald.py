@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import (a1core, davismahowald, f2linalg, margolis, modfile,
-                   structure)
+from a1mod import a1core, davismahowald, f2linalg, modfile, structure
 from a1mod.a1core import (_word_matrix, apply_word, direct_sum, f2,
                           free_module, suspend, tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
@@ -146,8 +145,7 @@ def test_e3_page_dualizes_once(monkeypatch):
         calls.append(m)
         return a1core.dualize(m)
 
-    for mod in (davismahowald, margolis):
-        monkeypatch.setattr(mod, "dualize", counting)
+    monkeypatch.setattr(davismahowald, "dualize", counting)
     e3_page(structure.seagull(3))
     assert len(calls) == 1
 
@@ -164,7 +162,11 @@ def test_e3_seagull2_mismatch():
 
 def test_seagull_localized_ext_formula():
     assert seagull_localized_ext(3, 2) == [2, 6, 10]
-    assert seagull_localized_ext(None, 0, max_stem=9) == [0, 4, 8]
+
+
+def test_localized_ext_open_ended():
+    assert not localized_ext(structure.seagull(2), 12).open_ended
+    assert localized_ext(structure.seagull_inf(20), 12).open_ended
 
 
 def test_localized_ext_matches_resolution_towers():
@@ -190,6 +192,15 @@ def test_lift_check_truncated_tower_lifts():
 
 def test_lift_check_f2_inconclusive():
     assert lift_check(f2()).outcome == "inconclusive"
+
+
+def test_lift_check_truncated_without_degree4_operator():
+    # Sq2Sq1Sq2 of the class in degree -2 is not a boundary
+    m = a1core.truncate(direct_sum(f2(-4), structure.seagull(1, -2)), 3)
+    verdict = lift_check(m)
+    assert verdict.outcome == "no_lift"
+    assert verdict.evidence[-1] == \
+        "no degree-4 operator satisfies the commutator equation"
 
 
 def test_sq4_solver():

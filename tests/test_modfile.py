@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from a1mod import a1core, structure
 from a1mod.errors import ParseError, TruncationTooTight
 from a1mod.margolis import margolis_homology
-from a1mod.modfile import parse, parse_module, serialize, to_module
+from a1mod.modfile import parse_module, serialize
 from random_modules import opposite_truncations
 
 EXAMPLE = """\
@@ -29,11 +29,19 @@ def test_parse_example():
                                                             3: 1, 5: 1}
 
 
+# a seagull labelled with the zero sum and the parser's separators
+SPLIT_LABELS = a1core.module_from_edges(
+    [("a+b", 0), ("0", 2), ("p=q", 3), ("x#y", 5)],
+    [("0", "p=q")], [("a+b", "0"), ("p=q", "x#y")])
+
+
 def test_serialize_parse_identity():
     for m in (structure.seagull(2),
               a1core.tensor(structure.seagull(1), structure.seagull(1)),
               a1core.dualize(structure.seagull(1)),
-              structure.seagull_inf(14)):
+              structure.seagull_inf(14), SPLIT_LABELS,
+              # the label made unique for the second "a" is taken
+              a1core.module({0: ["a.1", "a", "a"]}, {}, {})):
         text = serialize(m)
         m2 = parse_module(text)
         assert serialize(m2) == text
@@ -81,8 +89,7 @@ def test_relation_violation_points_at_lines():
 
 
 def test_undeclared_actions_are_zero():
-    mf = parse("module m\ngen a 0\ngen b 1\n")
-    m = to_module(mf)
+    m = parse_module("module m\ngen a 0\ngen b 1\n")
     assert m.sq1.mat(0).is_zero()
 
 
@@ -138,8 +145,8 @@ def test_roundtrip_keeps_truncation_bounds(base, steps, factor, left, after):
     assert (m2.truncated_above, m2.truncated_below) == \
         (m.truncated_above, m.truncated_below)
     for op in ("Q0", "Q1"):
-        for side in ("module", "dual"):
-            h, h2 = (margolis_homology(x, op, side) for x in (m, m2))
+        for side in (lambda x: x, a1core.dualize):
+            h, h2 = (margolis_homology(side(x), op) for x in (m, m2))
             assert (h2.dims, h2.reliable) == (h.dims, h.reliable)
 
 

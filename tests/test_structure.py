@@ -271,8 +271,8 @@ def test_localize_seagulls_stable():
 
 
 def test_localize_free_is_empty():
-    rep = localize_q0(free_module())
-    assert rep.descriptor.seagulls == ()
+    for m in (free_module(), a1core.zero_module()):
+        assert localize_q0(m).descriptor.seagulls == ()
 
 
 def test_localize_f2_open_seagull():
@@ -286,6 +286,8 @@ def test_seagull_inf_localization_open():
     rep = classify(seagull_inf(24))
     e = rep.descriptor.seagulls[0]
     assert e.shift == 0 and not e.exact
+    # realize turns the open entry back into a truncated infinite seagull
+    assert classify(realize(rep.descriptor)).descriptor == rep.descriptor
 
 
 def test_stably_equivalent_ignores_free():
