@@ -172,14 +172,6 @@ class GradedMap:
             mats[k] = self.mat(k + inner.shift).mul(inner.mat(k))
         return GradedMap(inner.source, self.target, self.shift + inner.shift, mats)
 
-    def add(self, other: "GradedMap") -> "GradedMap":
-        if self.shift != other.shift:
-            raise ShapeMismatch("sum of maps of different degrees")
-        mats = {}
-        for k in set(self.mats) | set(other.mats):
-            mats[k] = self.mat(k).add(other.mat(k))
-        return GradedMap(self.source, self.target, self.shift, mats)
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
 

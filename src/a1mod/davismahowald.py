@@ -18,7 +18,7 @@ from .margolis import is_q0_local, margolis_homology
 from .structure import default_cutoff, localize_q0, seagull
 
 __all__ = [
-    "NSigma", "DMComplexStage", "InjectiveStage",
+    "DMComplexStage", "InjectiveStage",
     "LocalizedE1", "D2Data", "E3Page", "LocalizedExt", "LiftVerdict", "Sq4Result",
     "build_N", "build_dm_complex", "check_dm_exactness",
     "build_injective", "check_injective_exactness",
@@ -35,13 +35,7 @@ def _mono_label(i: int, j: int) -> str:
     return f"x2^{i}x3^{j}"
 
 
-@dataclass
-class NSigma:
-    module: A1Module
-    monomials: List[Tuple[int, int]]   # (i, j) with i + j = sigma
-
-
-def build_N(sigma: int) -> NSigma:
+def build_N(sigma: int) -> A1Module:
     """Degree-sigma polynomials in generators of internal degrees 2 and 3.
 
     Sq1 x2^i x3^j = x2^{i-1} x3^{j+1}   when i > 0 and j is even,
@@ -56,8 +50,7 @@ def build_N(sigma: int) -> NSigma:
            for i, j in monomials if i > 0 and j % 2 == 0]
     sq2 = [(_mono_label(i, j), _mono_label(i - 2, j + 2))
            for i, j in monomials if i > 1 and j % 4 in (0, 1)]
-    return NSigma(module_from_edges(cells, sq1, sq2, name=f"N({sigma})"),
-                  monomials)
+    return module_from_edges(cells, sq1, sq2, name=f"N({sigma})")
 
 
 # ---------------------------------------------------------------------------
@@ -106,39 +99,37 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
     aug = linear_map_from_generators(wing, f2(), [(0, 1)], [(0, 1)])
     stages.append(DMComplexStage(wing, [], aug))
     prev = wing
-    prev_n: Optional[NSigma] = None
 
-    def gen_vec(stage_mod: A1Module, n: Optional[NSigma], i: int, j: int):
-        if n is None:  # stage 0: no polynomial factor
+    def gen_vec(stage_mod: A1Module, i: int, j: int):
+        if stage_mod is wing:  # stage 0: no polynomial factor
             return 0, 1
         d = 2 * i + 3 * j
         return _tensor_vector(stage_mod, bottom_label, _mono_label(i, j), d)
 
     for sigma in range(1, max_sigma + 1):
-        n = build_N(sigma)
-        mod = tensor(wing, n.module)
+        mod = tensor(wing, build_N(sigma))
         a_exp, b_exp = _gen_split(sigma)
         gens: List[Tuple[int, int]] = []
         values: List[Tuple[int, int]] = []
         a_gens: List[Tuple[str, int, int]] = []
 
         def target_word(word: str, i: int, j: int) -> Tuple[int, int]:
-            d, v = gen_vec(prev, prev_n, i, j)
+            d, v = gen_vec(prev, i, j)
             return apply_word(prev, word, d, v)
 
         for i in a_exp:
             j = sigma - i
-            d, v = gen_vec(mod, n, i, j)
+            d, v = gen_vec(mod, i, j)
             a_gens.append((_mono_label(i, j), d, v))
             gens.append((d, v))
             if i % 4 == sigma % 4:
-                values.append(gen_vec(prev, prev_n, i - 3, j + 2))
+                values.append(gen_vec(prev, i - 3, j + 2))
             else:
                 values.append((d, 0))
         r = sigma % 4
         for i in b_exp:
             j = sigma - i
-            gens.append(gen_vec(mod, n, i, j))
+            gens.append(gen_vec(mod, i, j))
             if r == 0:
                 values.append(target_word("Sq1Sq2Sq1Sq2", 3, sigma - 4))
             elif r == 1:
@@ -150,10 +141,10 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
                     values.append(target_word("Sq2Sq2", 1, sigma - 2))
             else:  # both terms lie in degree 3 sigma - 3
                 td, tv = target_word("Sq2", 2, sigma - 3)
-                values.append((td, tv ^ gen_vec(prev, prev_n, 0, sigma - 1)[1]))
+                values.append((td, tv ^ gen_vec(prev, 0, sigma - 1)[1]))
         boundary = linear_map_from_generators(mod, prev, gens, values)
         stages.append(DMComplexStage(mod, a_gens, boundary))
-        prev, prev_n = mod, n
+        prev = mod
     return stages
 
 
@@ -274,7 +265,14 @@ class LocalizedE1:
 class D2Data:
     classes: List[Tuple[int, str]]
     mats: Dict[int, BitMatrix]                # dual degree -> matrix into degree+5
-    pairs: List[Tuple[str, str]]              # nonzero pairings (source, target)
+
+    @property
+    def pairs(self) -> List[Tuple[str, str]]:
+        """The nonzero pairings (source, target), sorted."""
+        return sorted((_class_label(k, c), _class_label(k + 5, r))
+                      for k, mat in self.mats.items()
+                      for r, row in enumerate(mat.data)
+                      for c in range(mat.cols) if row >> c & 1)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
@@ -315,7 +313,6 @@ def d2(m: A1Module) -> D2Data:
     dual = dualize(m)
     h, classes = _dual_homology(dual)
     mats: Dict[int, BitMatrix] = {}
-    pairs: List[Tuple[str, str]] = []
     for delta in sorted(h.reps):
         src_reps = h.reps[delta]
         tgt_delta = delta + 5
@@ -334,13 +331,8 @@ def d2(m: A1Module) -> D2Data:
                 if x is None:
                     raise ShapeMismatch("differential image is not a cycle")
                 cols_out[ci] = x & ((1 << rows) - 1)
-        for c, v in enumerate(cols_out):
-            for r in range(rows):
-                if (v >> r) & 1:
-                    pairs.append((_class_label(delta, c),
-                                  _class_label(tgt_delta, r)))
         mats[delta] = BitMatrix.from_columns(rows, cols_out)
-    return D2Data(classes, mats, sorted(set(pairs)))
+    return D2Data(classes, mats)
 
 
 def e3_page(m: A1Module) -> E3Page:
@@ -375,13 +367,11 @@ def seagull_localized_ext(n: int, shift: int = 0) -> List[int]:
     return [shift + 4 * k for k in range(n)]
 
 
-def localized_ext(m: A1Module, max_stem: int,
-                  cutoff: Optional[int] = None) -> LocalizedExt:
+def localized_ext(m: A1Module, max_stem: int) -> LocalizedExt:
     """Tower stems of the localized Ext, via classification of the
     localization."""
-    if cutoff is None:
-        lo = m.lo or 0
-        cutoff = max(default_cutoff(m), lo + max_stem + 12)
+    cutoff = None if m.lo is None else max(default_cutoff(m),
+                                           m.lo + max_stem + 12)
     report = localize_q0(m, cutoff)
     stems: Dict[int, int] = {}
     open_ended = False
@@ -421,7 +411,7 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
                         f"{finite[0].describe()}")
         return LiftVerdict("no_lift", evidence)
     evidence.append("no finite seagull in the localized flock")
-    if is_q0_local(m).local:
+    if is_q0_local(m):
         evidence.append("module is Q0-local with an open flock")
         return LiftVerdict("lifts", evidence)
     # without truncation the operator exists exactly when d2 vanishes, as
@@ -438,8 +428,12 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
 
 @dataclass
 class Sq4Result:
-    feasible: bool
-    mats: Optional[Dict[int, BitMatrix]]   # degree k -> matrix into k+4
+    # degree k -> matrix into k+4; None when no operator exists
+    mats: Optional[Dict[int, BitMatrix]]
+
+    @property
+    def feasible(self) -> bool:
+        return self.mats is not None
 
 
 def sq4_solver(m: A1Module) -> Sq4Result:
@@ -469,7 +463,7 @@ def sq4_solver(m: A1Module) -> Sq4Result:
     for k in degs:
         if (cut is None or k + 5 <= cut) and not all(
                 bounds[k + 5].contains(wing[k].apply(z)) for z in cycles[k].basis):
-            return Sq4Result(False, None)
+            return Sq4Result(None)
 
     def contraction(j: int) -> Tuple[BitMatrix, BitMatrix]:
         """h: M_j -> M_{j-1} and pi: M_j -> M_j, read off the coordinates
@@ -488,7 +482,7 @@ def sq4_solver(m: A1Module) -> Sq4Result:
         return h, pi
 
     hpi = {j: contraction(j) for j in {k + d for k in degs for d in (0, 5)}}
-    return Sq4Result(True, {
+    return Sq4Result({
         k: wing[k - 1].mul(hpi[k][0]).add(
             hpi[k + 5][0].mul(wing[k]).mul(hpi[k][1]))
         for k in degs if m.dim(k + 4)})

@@ -49,10 +49,8 @@ class BitMatrix:
                 raise ShapeMismatch("row has bits beyond declared column count")
 
     @staticmethod
-    def from_rows(rows: List[List[int]], cols: Optional[int] = None) -> "BitMatrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return BitMatrix(len(rows), cols,
+    def from_rows(rows: List[List[int]]) -> "BitMatrix":
+        return BitMatrix(len(rows), len(rows[0]) if rows else 0,
                          tuple(sum((b & 1) << j for j, b in enumerate(r))
                                for r in rows))
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import A1Module, GradedMap
+from .a1core import A1Module, GradedMap, _word_matrix
 from .f2linalg import Subspace, complement, image, kernel
 
 __all__ = [
-    "MargolisResult", "LocalityVerdict", "A0Decomposition",
+    "MargolisResult", "A0Decomposition",
     "q1_map", "margolis_homology", "is_q0_local", "a0_decompose",
 ]
 
@@ -23,23 +23,20 @@ _SLACK = {"Q0": 1, "Q1": 5}  # degrees discarded below a truncation cutoff
 @dataclass
 class MargolisResult:
     op: str                              # "Q0" or "Q1"
-    dims: Dict[int, int]                 # homology dimension per degree
     reps: Dict[int, List[int]]           # cycle representatives per degree
     reliable: Tuple[Optional[int], Optional[int]]  # inclusive degree window
+
+    @property
+    def dims(self) -> Dict[int, int]:
+        """Homology dimension per degree."""
+        return {k: len(r) for k, r in self.reps.items()}
 
     def in_range(self, k: int) -> bool:
         lo, hi = self.reliable
         return (lo is None or k >= lo) and (hi is None or k <= hi)
 
     def nonzero_degrees(self) -> List[int]:
-        return sorted(k for k, d in self.dims.items() if d)
-
-
-@dataclass
-class LocalityVerdict:
-    local: bool
-    reliable: Tuple[Optional[int], Optional[int]]
-    witness_degree: Optional[int] = None  # a degree with Q1-homology, if any
+        return sorted(k for k, r in self.reps.items() if r)
 
 
 @dataclass
@@ -54,7 +51,9 @@ class A0Decomposition:
 
 def q1_map(m: A1Module) -> GradedMap:
     """Q1 = Sq2 Sq1 + Sq1 Sq2, a degree 3 operator with Q1 Q1 = 0."""
-    return m.sq2.compose(m.sq1).add(m.sq1.compose(m.sq2))
+    return GradedMap(m.space, m.space, 3, {
+        k: _word_matrix(m, "Sq2Sq1", k).add(_word_matrix(m, "Sq1Sq2", k))
+        for k in m.space.degrees if m.dim(k + 3)})
 
 
 def _reliable_window(m: A1Module, op: str) -> Tuple[Optional[int], Optional[int]]:
@@ -78,26 +77,17 @@ def margolis_homology(m: A1Module, op: str = "Q0") -> MargolisResult:
     q = m.sq1 if op == "Q0" else q1_map(m)
     shift = _SHIFT[op]
     lo_r, hi_r = _reliable_window(m, op)
-    dims: Dict[int, int] = {}
     reps: Dict[int, List[int]] = {}
     for k in m.space.degrees:
         if (lo_r is not None and k < lo_r) or (hi_r is not None and k > hi_r):
             continue
-        ker = kernel(q.mat(k))
-        im = image(q.mat(k - shift))
-        reps_k = complement(im, ker)
-        dims[k] = len(reps_k)
-        reps[k] = reps_k
-    return MargolisResult(op, dims, reps, (lo_r, hi_r))
+        reps[k] = complement(image(q.mat(k - shift)), kernel(q.mat(k)))
+    return MargolisResult(op, reps, (lo_r, hi_r))
 
 
-def is_q0_local(m: A1Module) -> LocalityVerdict:
+def is_q0_local(m: A1Module) -> bool:
     """True when the Q1-homology vanishes across the reliable window."""
-    h = margolis_homology(m, "Q1")
-    bad = h.nonzero_degrees()
-    if bad:
-        return LocalityVerdict(False, h.reliable, witness_degree=bad[0])
-    return LocalityVerdict(True, h.reliable)
+    return not margolis_homology(m, "Q1").nonzero_degrees()
 
 
 def a0_decompose(m: A1Module) -> A0Decomposition:

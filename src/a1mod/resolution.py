@@ -27,13 +27,17 @@ _ALGEBRAS = {"a0": WORDS[:2], "a1": WORDS}
 @dataclass
 class ResolutionStage:
     s: int
-    gens: List[int]                       # generator degrees, ascending
     # the free module's cells (generator index, word) in each degree up to
     # max_t, generators of the degree last
     basis: Dict[int, List[Tuple[int, str]]]
     # differential: value of each generator in the previous stage (or the
     # module itself at s = 0), as (degree, vector)
     d_values: List[Tuple[int, int]]
+
+    @property
+    def gens(self) -> List[int]:
+        """Generator degrees, ascending."""
+        return [k for k, _ in self.d_values]
 
 
 @dataclass
@@ -115,7 +119,7 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
                 out.append((w, image))
             return out
 
-        stage = ResolutionStage(s, [], {}, [])
+        stage = ResolutionStage(s, {}, [])
         kernel: Dict[int, List[int]] = {}
         # the cells w g in each degree, with their images w d(g)
         pending: Dict[int, List[Tuple[int, str, int]]] = {}
@@ -137,13 +141,12 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
                 cells.append((gi, w))
             for v in cover.get(t, ()):
                 if insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
-                    gi = len(stage.gens)
+                    gi = len(stage.d_values)
                     for w, image in images(t, v):
                         pending.setdefault(t + WORD_DEGREE[w], []).append(
                             (gi, w, image))
                     where.append({})
                     cells.append((gi, "1"))
-                    stage.gens.append(t)
                     stage.d_values.append((t, v))
             if cells:
                 stage.basis[t] = cells

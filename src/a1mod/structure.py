@@ -26,7 +26,7 @@ from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
                      zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import BitMatrix, Subspace, complement, kernel, mul_rows, solve
-from .margolis import is_q0_local
+from .margolis import margolis_homology
 
 __all__ = [
     "SeagullEntry", "FlockDescriptor", "DecompositionReport",
@@ -236,9 +236,9 @@ def classify(m: A1Module) -> DecompositionReport:
     _require_bottom(m, "classification")
     log: List[str] = []
     red, free_ranks = strip_free(m)
-    verdict = is_q0_local(red)
-    if not verdict.local:
-        raise NotQ0Local(verdict.witness_degree)
+    bad = margolis_homology(red, "Q1").nonzero_degrees()
+    if bad:
+        raise NotQ0Local(bad[0])
     cut = red.truncated_above
 
     # per seagull: its (degree, vector) generators, its bottom degree first

@@ -345,7 +345,7 @@ def minimal_resolution_reference(m: A1Module, algebra: str = "a1",
                 v ^= low
             return out
 
-        stage = ResolutionStage(s, [], {}, [])
+        stage = ResolutionStage(s, {}, [])
         kernel: Dict[int, List[int]] = {}
         decomposable: Dict[int, List[Tuple[int, str]]] = {}  # the cells w g
         for t in range(lo, max_t + 1):
@@ -360,12 +360,11 @@ def minimal_resolution_reference(m: A1Module, algebra: str = "a1",
                     kernel.setdefault(t, []).append(row >> n)
             for v in cover.get(t, ()):
                 if insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
-                    gi = len(stage.gens)
+                    gi = len(stage.d_values)
                     for w in words[1:]:
                         decomposable.setdefault(t + WORD_DEGREE[w], []).append(
                             (gi, w))
                     cells.append((gi, "1"))
-                    stage.gens.append(t)
                     stage.d_values.append((t, v))
             if cells:
                 stage.basis[t] = cells

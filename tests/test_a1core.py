@@ -371,3 +371,9 @@ def test_apply_word_respects_lmul():
         else:
             dp, vp = apply_word(a1, prod, 0, 1)
             assert (d2_, v2) == (dp, vp)
+
+
+def test_module_refuses_a_misshapen_matrix():
+    # Sq1 from degree 0 to degree 1 must be 1x1
+    with pytest.raises(ShapeMismatch, match="got 2x1, expected 1x1"):
+        module({0: ["a"], 1: ["b"]}, {0: BitMatrix(2, 1, (1, 0))}, {})

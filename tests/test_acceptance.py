@@ -151,7 +151,7 @@ def test_criterion_09_complex_verification():
     assert check_injective_exactness(inj) == {"complex": True, "exact": True,
                                               "r_t": True}
     for sigma in range(0, 9):
-        validate(build_N(sigma).module)
+        validate(build_N(sigma))
 
 
 def test_criterion_10_lifting_suite():

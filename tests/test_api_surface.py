@@ -2,10 +2,11 @@
 tracer (``perfbench/spans.py``) wraps, so that deleting a function cannot
 silently break ``perfbench/run.py --trace 1``.  Every function, method and
 class the package defines, and every name it assigns at module level, is
-used somewhere, and every field of its dataclasses is read, so none is
-dead."""
+used somewhere, every field of its dataclasses is read, and every
+parameter with a default is passed by some call, so none is dead."""
 
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -17,6 +18,7 @@ import a1mod
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(a1mod.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+FOLDERS = ("src", "tests", "perfbench", "demos")
 
 
 def _traced_layers():
@@ -43,6 +45,15 @@ def test_traced_layers_resolve(layer):
         assert callable(target)
 
 
+@functools.lru_cache(maxsize=None)
+def _trees():
+    """(folder, path, syntax tree) for every Python file that may use the
+    package."""
+    return [(folder, path, ast.parse(path.read_text(), str(path)))
+            for folder in FOLDERS
+            for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
                for d in node.decorator_list)
@@ -53,36 +64,84 @@ def test_every_definition_is_referenced():
             for attr in attrs for part in attr.split(".")}
     read = set()  # names read as attributes
     defined, fields = [], []
-    for folder in ("src", "tests", "perfbench", "demos"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), str(path))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    if not isinstance(node.ctx, ast.Store):  # not a target
-                        used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                    if isinstance(node.ctx, ast.Load):
-                        read.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.update(node.name.split("."))
-                elif (folder == "src" and isinstance(
-                        node, (ast.FunctionDef, ast.ClassDef))
-                        and not node.name.startswith("__")):
-                    defined.append((f"{path.name}:{node.lineno}", node.name))
-                    if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                        fields += [(f"{path.name}:{f.lineno}",
-                                    f"{node.name}.{f.target.id}")
-                                   for f in node.body
-                                   if isinstance(f, ast.AnnAssign)]
-            # module-level constants and tables
-            for node in tree.body if folder == "src" else ():
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    defined += [(f"{path.name}:{node.lineno}", t.id)
-                                for t in ast.walk(node)
-                                if isinstance(t, ast.Name)
-                                and isinstance(t.ctx, ast.Store)
-                                and not t.id.startswith("__")]
+    for folder, path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Store):  # not a target
+                    used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif (folder == "src" and isinstance(
+                    node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defined.append((f"{path.name}:{node.lineno}", node.name))
+                if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                    fields += [(f"{path.name}:{f.lineno}",
+                                f"{node.name}.{f.target.id}")
+                               for f in node.body
+                               if isinstance(f, ast.AnnAssign)]
+        # module-level constants and tables
+        for node in tree.body if folder == "src" else ():
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined += [(f"{path.name}:{node.lineno}", t.id)
+                            for t in ast.walk(node)
+                            if isinstance(t, ast.Name)
+                            and isinstance(t.ctx, ast.Store)
+                            and not t.id.startswith("__")]
     assert [d for d in defined if d[1] not in used] == []
     # every dataclass field is read somewhere
     assert [f for f in fields if f[1].split(".")[1] not in read] == []
+
+
+def _defaulted(tree):
+    """(called name, qualified name, parameter, its positional index or
+    None) for each parameter with a default; ``self`` and ``cls`` are not
+    counted, and a class's ``__init__`` is called by the class's name."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in child.decorator_list):
+                    positional = positional[1:]
+                name = cls if child.name == "__init__" else child.name
+                qual = f"{cls}.{child.name}" if cls else child.name
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(a.defaults):
+                        yield name, qual, arg.arg, i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield name, qual, arg.arg, None
+                yield from visit(child, None)
+            else:
+                yield from visit(child, cls)
+    return visit(tree, None)
+
+
+def _passes(call: ast.Call, param: str, index) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_every_default_parameter_is_passed():
+    calls = {}  # called name -> calls
+    for _, _, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [f"{path.name}:{qual}.{param}"
+                for folder, path, tree in _trees() if folder == "src"
+                for name, qual, param, index in _defaulted(tree)
+                if not any(_passes(c, param, index) for c in calls.get(name, ()))]
+    assert unpassed == []

@@ -216,6 +216,12 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert json.loads(err)["error"]
 
 
+def test_cutoff_without_a_wing_exit_1(capsys, s1):
+    code, out, err = run(capsys, "localize", s1, "--cutoff", "3")
+    assert code == 1 and out == ""
+    assert "leaves no full wing" in json.loads(err)["error"]
+
+
 def test_floor_refused_exit_1(capsys, tmp_path):
     # classification and resolutions start at the bottom degree, which a
     # module truncated below does not carry

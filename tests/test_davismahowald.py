@@ -22,17 +22,16 @@ from solver_reference import linear_map_reference, sq4_reference
 
 def test_n_sigma_validates():
     for sigma in range(0, 9):
-        validate(build_N(sigma).module)
+        validate(build_N(sigma))
 
 
 def test_n_sigma_q0_homology():
     # Q0-homology of the degree-sigma polynomial piece concentrates on the
-    # powers of the degree-3 generator with even exponent
+    # powers of the degree-3 generator with even exponent: x3^sigma is the
+    # only monomial without x2
     for sigma in range(0, 7):
-        n = build_N(sigma)
-        res = margolis_homology(n.module, "Q0")
-        want = sorted(2 * i + 3 * j for (i, j) in n.monomials
-                      if i == 0 and j % 2 == 0)
+        res = margolis_homology(build_N(sigma), "Q0")
+        want = [3 * sigma] if sigma % 2 == 0 else []
         assert res.nonzero_degrees() == want
 
 
@@ -167,6 +166,14 @@ def test_seagull_localized_ext_formula():
 def test_localized_ext_open_ended():
     assert not localized_ext(structure.seagull(2), 12).open_ended
     assert localized_ext(structure.seagull_inf(20), 12).open_ended
+
+
+def test_localized_ext_empty_modules():
+    zero = localized_ext(a1core.zero_module(), 12)
+    assert (zero.stems, zero.open_ended, zero.cutoff) == ({}, False, None)
+    # an empty module truncated above keeps its cutoff
+    assert localized_ext(a1core.truncate(structure.seagull(2), -1),
+                         12).cutoff == -1
 
 
 def test_localized_ext_matches_resolution_towers():
@@ -382,3 +389,8 @@ def _embed(t, a, b, ka, va, kb, vb):
             lbl = f"{a.space.labels[ka][i]}(x){b.space.labels[kb][j]}"
             out ^= 1 << t.space.labels[k].index(lbl)
     return out
+
+
+def test_negative_polynomial_degree_refused():
+    with pytest.raises(ValueError, match="negative polynomial degree"):
+        build_N(-1)

@@ -204,6 +204,14 @@ def test_shape_mismatch():
         BitMatrix.identity(2).mul(BitMatrix.identity(3))
     with pytest.raises(ShapeMismatch):
         BitMatrix(2, 2, (0b111, 0))
+    with pytest.raises(ShapeMismatch, match="2 rows declared, 1 given"):
+        BitMatrix(2, 2, (0,))
+    with pytest.raises(ShapeMismatch, match="unequal shapes"):
+        BitMatrix.zeros(2, 2).add(BitMatrix.zeros(2, 3))
+    with pytest.raises(ShapeMismatch, match="different ambient"):
+        Subspace.full(2).add(Subspace.full(3))
+    with pytest.raises(ShapeMismatch, match="different ambient"):
+        complement(Subspace.full(2), Subspace.full(3))
 
 
 def reference_product(a, b):

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, structure
+from a1mod.errors import NotQ0Local
 from a1mod.margolis import (a0_decompose, is_q0_local, margolis_homology,
                             q1_map)
 from random_modules import random_module
@@ -74,10 +76,13 @@ def test_q1_squares_to_zero():
 
 
 def test_is_q0_local():
-    assert is_q0_local(structure.seagull(3)).local
-    assert is_q0_local(a1core.free_module()).local  # trivially: H(;Q1) = 0
-    verdict = is_q0_local(a1core.f2())
-    assert not verdict.local and verdict.witness_degree == 0
+    assert is_q0_local(structure.seagull(3)) is True
+    assert is_q0_local(a1core.free_module()) is True  # trivially: H(;Q1) = 0
+    assert is_q0_local(a1core.f2()) is False
+    # the witness is the lowest degree with Q1-homology
+    with pytest.raises(NotQ0Local) as err:
+        structure.classify(a1core.f2())
+    assert err.value.degree == 0
 
 
 def test_a0_decompose_counts():
@@ -100,3 +105,8 @@ def test_a0_decompose_trivial_classes_respect_the_floor():
     dec = a0_decompose(m)
     assert h.reliable == (-19, None) and h.nonzero_degrees() == [0]
     assert sorted({d for d, _ in dec.trivial}) == [0]
+
+
+def test_unknown_operator_refused():
+    with pytest.raises(ValueError, match="unknown operator 'Q2'"):
+        margolis_homology(a1core.f2(), "Q2")

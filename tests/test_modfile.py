@@ -66,6 +66,8 @@ def test_comments_and_blanks_ignored():
     ("module m\ngen x 0\ngen y 3\nsq1 x = y", 4, "degree mismatch"),
     ("module m\ngen x 0\nsq1 x = 0\nsq1 x = 0", 4, "duplicate sq1"),
     ("module m\nfrob x", 2, "unknown keyword"),
+    ("module a b", 1, "expected: module <name>"),
+    ("module m\ntruncated_above 1 2", 2, "expected: truncated_above <degree>"),
     ("", 1, "header"),
 ])
 def test_parse_errors(text, line, fragment):

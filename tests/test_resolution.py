@@ -225,3 +225,8 @@ def test_deep_a0_resolution_of_f2_is_one_generator_per_stage():
     for t in (-7, 0, 5):
         chart = ext_dims(a1core.f2(t), "a0", 200, t + 400)
         assert chart.dims == {(s, s + t): 1 for s in range(201)}
+
+
+def test_unknown_algebra_refused():
+    with pytest.raises(ValueError, match="unknown algebra 'a2'"):
+        minimal_resolution(a1core.f2(), "a2")

@@ -336,3 +336,16 @@ def test_reduced_bottom_class_killed_by_sq1(seed):
     m = realize(desc)
     bottom = min(m.space.degrees)
     assert m.sq1.mat(bottom).is_zero()
+
+
+def test_construction_refusals():
+    with pytest.raises(ValueError, match="length must be positive"):
+        seagull(0)
+    with pytest.raises(TruncationTooTight, match="at least one full wing"):
+        seagull_inf(4)
+    open_entry = FlockDescriptor.make([SeagullEntry(0, 2, False)])
+    with pytest.raises(TruncationTooTight, match="needs a cutoff"):
+        realize(open_entry)
+    # the infinite seagull tensored in needs five degrees above the bottom
+    with pytest.raises(TruncationTooTight, match="leaves no full wing"):
+        localize_q0(seagull(1), 3)
