@@ -74,7 +74,7 @@ def _cutoff(args, m: a1core.A1Module) -> Optional[int]:
     """The cutoff that ``localize`` and ``lift-check`` use, refused past its
     limit: ``--cutoff``, else the module's default (None for the zero
     module, which ``localize_q0`` classifies directly)."""
-    if args.cutoff is None and m.lo is not None:
+    if args.cutoff is None:
         args.cutoff = structure.default_cutoff(m)
     _limit(args, "cutoff", m.lo)
     return args.cutoff
@@ -228,7 +228,7 @@ def _cmd_chart(args, m):
             spots.setdefault(lbl, []).append((st, s))
         # d2 leaves each record of its source that has a target on the page
         arrows = [(st, s, st - 1, s + 2) for a, _ in data.pairs
-                  for st, s in spots[a] if s + 2 <= args.max_sigma]
+                  for st, s in spots.get(a, ()) if s + 2 <= args.max_sigma]
         classes = [(st, s, lbl) for s, st, lbl in page.records]
         body = (charts.page_ascii(classes, arrows) if args.format == "ascii"
                 else charts.page_svg(classes, arrows))

@@ -59,20 +59,25 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
 
     Each stage is built degree by degree.  In degree t its cells w g
     (|w| > 0, g below t) map to w d(g), formed when g becomes a generator:
-    ``apply_word`` on the module at s = 0, the product w (g', u) = (g', w u)
-    in the previous stage after.  That product is read off ``a1core.PRODUCT``,
-    and its bit off a map from each generator's words to the bits of its
-    cells, filled in as the cells are filed.  One elimination takes each
-    cell's image with the cell's bit above the target's n bits.  Each
-    vector the stage must cover (the module, then the previous kernel) that
-    it does not reduce to zero becomes a new generator.  The cells' rows
-    that it reduces to zero span the kernel in degree t, since the
-    generators' values are independent modulo the image of the cells.
+    ``apply_word`` on the module at s = 0, after that one walk over the
+    cells (g', u) of d(g) that XORs the bit of each nonzero w u g' into the
+    image of w.  The pairs (w, w u) for each word u are read off
+    ``a1core.PRODUCT`` once per call, and the bits off a map from each
+    generator's words to the bits of its cells, filled in as the cells are
+    filed.  One elimination takes each cell's image with the cell's bit
+    above the target's n bits.  Each vector the stage must cover (the
+    module, then the previous kernel) that it does not reduce to zero
+    becomes a new generator.  The cells' rows that it reduces to zero span
+    the kernel in degree t, since the generators' values are independent
+    modulo the image of the cells.
 
-    A generator in degree t has cells only in degrees t..t+6, and every
-    generator covers a vector, so a stage visits only the degrees up to
-    ``max_t`` that hold cover vectors or pending cells w g, lowest first;
-    elsewhere it has no cells and adds no kernel.
+    A generator in degree t has cells in each degree t..t+6 up to ``max_t``
+    (t..t+1 over A(0)) and in no other, and every generator covers a
+    vector.  So a stage visits only the degrees that hold cover vectors or
+    pending cells w g: it steps from t to t + 1 while that degree holds
+    pending cells, and when it holds none, nothing is pending and the stage
+    jumps to the next degree with cover vectors.  Elsewhere it has no cells
+    and adds no kernel.
 
     Raises ``TruncationTooTight`` for a module truncated below, whose
     bottom the first stage would cover, and for one truncated above below
@@ -86,71 +91,77 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
             f"resolving through degree {max_t} needs the module beyond its "
             f"cutoff {m.truncated_above}")
     words = _ALGEBRAS[algebra][1:]
+    # times[u]: the pairs (i, w u) over the words w = words[i] with w u
+    # nonzero; fits[r]: the words of degree <= r, a prefix of the words
+    times = {u: [(i, PRODUCT[w][u]) for i, w in enumerate(words)
+                 if PRODUCT[w][u] is not None] for u in _ALGEBRAS[algebra]}
+    fits = [[w for w in words if WORD_DEGREE[w] <= r]
+            for r in range(WORD_DEGREE[words[-1]] + 1)]
     # everything in degrees <= max_t is determined by degrees <= max_t
-    cover = {k: [1 << i for i in range(m.dim(k))] for k in m.space.degrees}
+    cover = {k: [1 << i for i in range(m.dim(k))]
+             for k in m.space.degrees if k <= max_t}
     stages: List[ResolutionStage] = []
     # where[g][u]: the bit of the cell u g (|u| > 0) in its degree
     where: List[Dict[str, int]] = []
     for s in range(max_s + 1):
-        prev = stages[-1] if stages else None
+        prev = stages[-1].basis if stages else None
         below, where = where, []  # the previous stage's map, and this one's
-
-        def images(k: int, v: int) -> List[Tuple[str, int]]:
-            """The pairs (w, w d(g)) for the generator g with d(g) = v in
-            degree k, over the words w of positive degree with w g in
-            degrees up to max_t."""
-            ws = [w for w in words if k + WORD_DEGREE[w] <= max_t]
-            if prev is None:
-                return [(w, apply_word(m, w, k, v)[1]) for w in ws]
-            terms = []  # d(g) as (bits of the cells u g', u)
-            cells = prev.basis[k]
-            while v:
-                low = v & -v
-                g, u = cells[low.bit_length() - 1]
-                terms.append((below[g], u))
-                v ^= low
-            out = []
-            for w in ws:
-                product, image = PRODUCT[w], 0
-                for bits, u in terms:
-                    wu = product[u]
-                    if wu is not None:
-                        image ^= bits[wu]
-                out.append((w, image))
-            return out
-
-        stage = ResolutionStage(s, {}, [])
+        basis: Dict[int, List[Tuple[int, str]]] = {}
+        d_values: List[Tuple[int, int]] = []
         kernel: Dict[int, List[int]] = {}
         # the cells w g in each degree, with their images w d(g)
         pending: Dict[int, List[Tuple[int, str, int]]] = {}
-        covered = iter(sorted(k for k in cover if k <= max_t))
-        c = next(covered, None)
-        while pending or c is not None:
-            t = min(pending, default=c)
-            if c is not None and c <= t:
-                t, c = c, next(covered, None)
-            n = m.dim(t) if prev is None else len(prev.basis.get(t, ()))
+        covered = iter(sorted(cover))
+        c = t = next(covered, max_t + 1)
+        while t <= max_t:
+            if t == c:
+                c = next(covered, max_t + 1)
+            n = m.dim(t) if prev is None else len(prev.get(t, ()))
             mask = (1 << n) - 1
             pivots: Dict[int, int] = {}
             cells: List[Tuple[int, str]] = []
+            rows = []
             for gi, w, image in pending.pop(t, ()):
                 row = insert(pivots, image | 1 << (n + len(cells)), mask)
                 if not row & mask:
-                    kernel.setdefault(t, []).append(row >> n)
+                    rows.append(row >> n)
                 where[gi][w] = 1 << len(cells)
                 cells.append((gi, w))
+            if rows:
+                kernel[t] = rows
             for v in cover.get(t, ()):
-                if insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
-                    gi = len(stage.d_values)
-                    for w, image in images(t, v):
-                        pending.setdefault(t + WORD_DEGREE[w], []).append(
-                            (gi, w, image))
-                    where.append({})
-                    cells.append((gi, "1"))
-                    stage.d_values.append((t, v))
+                if not insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
+                    continue
+                fit = fits[min(max_t - t, len(fits) - 1)]
+                if prev is None:
+                    images = [apply_word(m, w, t, v)[1] for w in fit]
+                else:
+                    images, terms, x = [0] * len(fit), prev[t], v
+                    while x:
+                        low = x & -x
+                        g, u = terms[low.bit_length() - 1]
+                        bits = below[g]
+                        for i, wu in times[u]:
+                            if i < len(fit):
+                                images[i] ^= bits[wu]
+                        x ^= low
+                gi = len(d_values)
+                for w, image in zip(fit, images):
+                    k = t + WORD_DEGREE[w]
+                    at = pending.get(k)
+                    if at is None:
+                        pending[k] = [(gi, w, image)]
+                    else:
+                        at.append((gi, w, image))
+                where.append({})
+                cells.append((gi, "1"))
+                d_values.append((t, v))
             if cells:
-                stage.basis[t] = cells
-        stages.append(stage)
+                basis[t] = cells
+            t += 1
+            if t not in pending:  # then nothing is pending at all
+                t = c
+        stages.append(ResolutionStage(s, basis, d_values))
         cover = kernel
     return stages
 

@@ -389,9 +389,13 @@ def localize_q0(m: A1Module, cutoff: Optional[int] = None) -> DecompositionRepor
     return classify(local)
 
 
-def default_cutoff(m: A1Module) -> int:
+def default_cutoff(m: A1Module) -> Optional[int]:
+    """18 degrees above the module's top (its cutoff when truncated above),
+    or None for a module without degrees."""
+    if m.lo is None:
+        return None
     hi = m.hi if m.truncated_above is None else m.truncated_above
-    return max(hi + 18, (m.lo or 0) + 18)
+    return max(hi, m.lo) + 18
 
 
 def stably_equivalent(a: A1Module, b: A1Module) -> bool:

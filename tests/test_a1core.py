@@ -12,7 +12,7 @@ from a1mod.a1core import (DUAL_WORD, LMUL, PRODUCT, TOP_WORD, WORD_DEGREE,
                           module_from_edges, suspend, tensor, truncate,
                           validate)
 from a1mod.errors import RelationViolation, ShapeMismatch, TruncationTooTight
-from a1mod.f2linalg import BitMatrix, Subspace, rank
+from a1mod.f2linalg import BitMatrix, rank
 from a1mod.margolis import margolis_homology
 from random_modules import opposite_truncations, random_module, random_part
 from solver_reference import linear_map_reference, tensor_reference

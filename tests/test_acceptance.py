@@ -5,7 +5,7 @@ Every assertion is exact GF(2) equality; each test runs well under 30 s.
 
 import random
 
-from a1mod import a1core, structure
+from a1mod import a1core
 from a1mod.a1core import (apply_word, direct_sum, f2, free_module, suspend,
                           tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,

@@ -2,8 +2,9 @@
 tracer (``perfbench/spans.py``) wraps, so that deleting a function cannot
 silently break ``perfbench/run.py --trace 1``.  Every function, method and
 class the package defines, and every name it assigns at module level, is
-used somewhere, every field of its dataclasses is read, and every
-parameter with a default is passed by some call, so none is dead."""
+used somewhere other than in an import, every field of its dataclasses is
+read, and every parameter with a default is passed by some call, so none
+is dead.  No test or demo imports a name it never reads."""
 
 import ast
 import functools
@@ -73,8 +74,6 @@ def test_every_definition_is_referenced():
                 used.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.update(node.name.split("."))
             elif (folder == "src" and isinstance(
                     node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("__")):
@@ -95,6 +94,24 @@ def test_every_definition_is_referenced():
     assert [d for d in defined if d[1] not in used] == []
     # every dataclass field is read somewhere
     assert [f for f in fields if f[1].split(".")[1] not in read] == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for folder, path, tree in _trees():
+        if folder not in ("tests", "demos"):
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and not isinstance(node.ctx, ast.Store)}
+        unread += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in (a.asname or a.name.split(".")[0]
+                                for a in node.names)
+                   if name not in loaded]
+    assert unread == []
 
 
 def _defaulted(tree):

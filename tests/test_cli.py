@@ -167,6 +167,14 @@ def test_e2_chart_draws_d2_from_every_source_record(capsys, s1):
                 and el.get("stroke") == "red"]) == 2
 
 
+def test_e2_chart_of_an_empty_page(capsys, s1):
+    # d2 has a pair, but its source has no record below sigma 0
+    assert record(capsys, "dm-e1", s1, "--max-sigma", "-1")["payload"] == {
+        "classes": []}
+    rec = record(capsys, "chart", s1, "--kind", "e2", "--max-sigma", "-1")
+    assert rec["payload"]["chart"] == "(empty page)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["seagull", "--n", "1"], ["tensor", "{m}", "{m}"], ["sum", "{m}", "{m}"],
     ["suspend", "{m}", "--by", "1"], ["dual", "{m}"], ["reduce", "{m}"],

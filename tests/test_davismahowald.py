@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from a1mod import a1core, davismahowald, f2linalg, modfile, structure
 from a1mod.a1core import (_word_matrix, apply_word, direct_sum, f2,
-                          free_module, suspend, tensor, validate)
+                          suspend, tensor, validate)
 from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
                                  check_dm_exactness, check_injective_exactness,
                                  d2, e1_page, e3_page, lift_check,

@@ -9,7 +9,7 @@ from a1mod import a1core, f2linalg, structure
 from a1mod.a1core import (PRODUCT, apply_word, direct_sum, dualize, suspend,
                           tensor)
 from a1mod.davismahowald import localized_ext
-from a1mod.errors import NotStabilized, TruncationTooTight
+from a1mod.errors import TruncationTooTight
 from a1mod.resolution import (ext_dims, h0_tower_counts,
                               minimal_resolution)
 from random_modules import random_automorphism, random_module
@@ -192,16 +192,25 @@ def test_minimal_resolution_matches_reference():
     # degree of A(1), so the stage runs out of cells before the next cover
     # degree
     rng = random.Random(12)
-    cases = [a1core.f2(), direct_sum(a1core.f2(), a1core.f2(30)),
+    gap = direct_sum(a1core.f2(), a1core.f2(30))
+    cases = [a1core.f2(), gap,
              a1core.zero_module(), a1core.free_module(),
              structure.seagull(1, -5), structure.seagull(2, 3),
              structure.seagull(3, -11), dualize(structure.seagull(2)),
              tensor(structure.seagull(1), structure.seagull(1, 2)),
              structure.seagull_inf(40)]
-    cases += [random_module(rng) for _ in range(20)]
+    draws = [random_module(rng) for _ in range(20)]
+    # twisted, the vectors the stages cover are not unit vectors
+    cases += draws + [random_automorphism(rng, m) for m in draws]
     for m in cases:
         lo = 0 if m.lo is None else m.lo
-        depths = [(3, lo + 12), (10, lo + 40)]
+        hi = lo if m.hi is None else m.hi
+        # below the bottom, on the bottom and top cover degrees, no stage
+        # past the first, shallow and deep
+        depths = [(3, lo - 1), (3, lo), (3, hi), (0, lo + 12), (3, lo + 12),
+                  (10, lo + 40)]
+        if m is gap:  # inside the gap and on its far end
+            depths += [(3, 20), (3, 29), (3, 30)]
         if m.truncated_above is not None:  # as deep as the cutoff allows
             depths.append((10, m.truncated_above))
         for algebra in ("a0", "a1"):
@@ -219,6 +228,17 @@ def test_minimal_resolution_matches_reference():
     assert _resolve_both(structure.seagull_inf(40), "a1", 5, 41) == [(
         "TruncationTooTight",
         "resolving through degree 41 needs the module beyond its cutoff 40")] * 2
+
+
+def test_resolution_steps_over_a_gap(monkeypatch):
+    # the first stage reads the module's dimension in each degree it
+    # visits: those of the two copies of F2 and their cells, not the gap
+    seen = []
+    dim = a1core.A1Module.dim
+    monkeypatch.setattr(a1core.A1Module, "dim",
+                        lambda m, k: seen.append(k) or dim(m, k))
+    minimal_resolution(direct_sum(a1core.f2(), a1core.f2(30)), "a1", 0, 40)
+    assert sorted(set(seen)) == [*range(7), *range(30, 37)]
 
 
 def test_deep_a0_resolution_of_f2_is_one_generator_per_stage():

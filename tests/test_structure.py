@@ -11,7 +11,7 @@ from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, _word_matrix,
                           direct_sum, dualize, free_module, suspend, tensor,
                           truncate)
 from a1mod.errors import IncomparableCutoffs, NotQ0Local, TruncationTooTight
-from a1mod.f2linalg import Subspace, image, kernel, rank
+from a1mod.f2linalg import Subspace, kernel, rank
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
                              localize_q0, realize, seagull, seagull_inf,
                              stably_equivalent, strip_free)
@@ -273,6 +273,12 @@ def test_localize_seagulls_stable():
 def test_localize_free_is_empty():
     for m in (free_module(), a1core.zero_module()):
         assert localize_q0(m).descriptor.seagulls == ()
+
+
+def test_default_cutoff_of_a_module_without_degrees():
+    assert structure.default_cutoff(a1core.zero_module()) is None
+    assert structure.default_cutoff(truncate(seagull(2), -1)) is None
+    assert structure.default_cutoff(truncate(seagull(2), 3)) == 21
 
 
 def test_localize_f2_open_seagull():
