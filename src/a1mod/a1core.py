@@ -341,9 +341,9 @@ def free_module_on(gens: Sequence[Tuple[str, int]], name: str = "") -> A1Module:
     return module_from_edges(cells, edges["Sq1"], edges["Sq2"], name=name)
 
 
-def free_module(degree: int = 0, label: str = "g") -> A1Module:
-    """The free module on one generator in the given degree."""
-    return free_module_on([(label, degree)], name=f"A(1){{{label}}}")
+def free_module(degree: int = 0) -> A1Module:
+    """The free module on one generator ``g`` in the given degree."""
+    return free_module_on([("g", degree)], name="A(1){g}")
 
 
 def _bound(a: Optional[int], b: Optional[int], pick) -> Optional[int]:

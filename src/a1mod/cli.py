@@ -13,8 +13,10 @@ The size options have upper limits (``LIMITS``) on how far they reach:
 degree (above ``--shift`` for ``seagull --infinite``), ``--max-stem`` 128
 above the lower of the bottom degree and 0, and ``--max-s`` 128,
 ``--max-sigma`` 128 and ``--n`` 1024 as they stand.  Without ``--cutoff``,
-``localize`` and ``lift-check`` hold their default cutoff to the same limit.
-A larger value exits 2 with a JSON error before any work starts.
+``localize`` and ``lift-check`` hold their default cutoff to the same limit,
+and ``chart --kind e2``, whose stem axis spans the module, holds the
+module's top degree to the ``--max-stem`` limit.  A larger value exits 2
+with a JSON error before any work starts.
 """
 
 from __future__ import annotations
@@ -221,6 +223,11 @@ def _cmd_chart(args, m):
                 else charts.towers_svg(counts, args.max_stem))
     else:
         _limit(args, "max_sigma")
+        base, limit = resolution.tower_base(m), LIMITS["max_stem"]
+        if m.hi is not None and m.hi - base > limit:
+            raise ParseError(0, f"--kind e2 draws stems up to the top degree "
+                                f"{m.hi}, {m.hi - base} above degree {base}, "
+                                f"beyond the --max-stem limit {limit}")
         page = davismahowald.e1_page(m, args.max_sigma)
         data = davismahowald.d2(m)
         spots: Dict[str, List[Tuple[int, int]]] = {}  # label -> (stem, sigma)

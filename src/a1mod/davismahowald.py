@@ -1,5 +1,5 @@
-"""A polynomial coefficient family, two explicit exact complexes, and the
-localized algebraic spectral sequence built from them: its first page, the
+"""A polynomial coefficient family, the Koszul-type exact complex built on
+it, and the localized algebraic spectral sequence: its first page, the
 closed-form first differential, and detectors for whether a Q0-local module
 is the localization of an honest bounded-below module.
 """
@@ -9,19 +9,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (WORD_DEGREE, A1Module, GradedMap, _word_matrix,
-                     apply_word, dualize, f2, free_module_on,
-                     linear_map_from_generators, module_from_edges, tensor)
+from .a1core import (A1Module, GradedMap, _word_matrix, apply_word, dualize,
+                     f2, linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
 from .f2linalg import BitMatrix, Subspace, complement, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
 from .structure import default_cutoff, localize_q0, seagull
 
 __all__ = [
-    "DMComplexStage", "InjectiveStage",
+    "DMComplexStage",
     "LocalizedE1", "D2Data", "E3Page", "LocalizedExt", "LiftVerdict", "Sq4Result",
     "build_N", "build_dm_complex", "check_dm_exactness",
-    "build_injective", "check_injective_exactness",
     "e1_page", "d2", "e3_page",
     "seagull_localized_ext", "localized_ext", "lift_check", "sq4_solver",
 ]
@@ -64,12 +62,6 @@ class DMComplexStage:
     boundary: GradedMap                  # to the previous stage (F2 at 0)
 
 
-def _tensor_vector(t: A1Module, left_label: str, right_label: str,
-                   d: int) -> Tuple[int, int]:
-    """The basis vector left (x) right of t in degree d, left in degree 0."""
-    return d, 1 << t.space.labels[d].index(f"{left_label}(x){right_label}")
-
-
 def _gen_split(sigma: int) -> Tuple[List[int], List[int]]:
     """Exponents i of the generators 1 (x) x2^i x3^(sigma-i), split into the
     free block and the block carrying the interesting part."""
@@ -88,23 +80,23 @@ def _gen_split(sigma: int) -> Tuple[List[int], List[int]]:
     return a, b
 
 
+# kept here for the dm_complex bench op; moves with ROADMAP item 6
 def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
     """Stages T (x) N(sigma) of the exact complex augmenting the length-one
     seagull T, with explicit boundaries defined on the listed generators and
     extended action-linearly."""
     wing = seagull(1)
-    bottom_label = wing.space.labels[0][0]
     stages: List[DMComplexStage] = []
     # stage 0: the seagull itself, augmented to F2
     aug = linear_map_from_generators(wing, f2(), [(0, 1)], [(0, 1)])
     stages.append(DMComplexStage(wing, [], aug))
     prev = wing
 
-    def gen_vec(stage_mod: A1Module, i: int, j: int):
-        if stage_mod is wing:  # stage 0: no polynomial factor
-            return 0, 1
-        d = 2 * i + 3 * j
-        return _tensor_vector(stage_mod, bottom_label, _mono_label(i, j), d)
+    def gen_vec(i: int, j: int) -> Tuple[int, int]:
+        """The cell bottom of T (x) x2^i x3^j, first in its degree: N(sigma)
+        has one cell per degree, and ``tensor`` puts the block of T's bottom
+        degree first.  At stage 0 (i = j = 0) it is the bottom of T."""
+        return 2 * i + 3 * j, 1
 
     for sigma in range(1, max_sigma + 1):
         mod = tensor(wing, build_N(sigma))
@@ -114,22 +106,21 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
         a_gens: List[Tuple[str, int, int]] = []
 
         def target_word(word: str, i: int, j: int) -> Tuple[int, int]:
-            d, v = gen_vec(prev, i, j)
-            return apply_word(prev, word, d, v)
+            return apply_word(prev, word, *gen_vec(i, j))
 
         for i in a_exp:
             j = sigma - i
-            d, v = gen_vec(mod, i, j)
+            d, v = gen_vec(i, j)
             a_gens.append((_mono_label(i, j), d, v))
             gens.append((d, v))
             if i % 4 == sigma % 4:
-                values.append(gen_vec(prev, i - 3, j + 2))
+                values.append(gen_vec(i - 3, j + 2))
             else:
                 values.append((d, 0))
         r = sigma % 4
         for i in b_exp:
             j = sigma - i
-            gens.append(gen_vec(mod, i, j))
+            gens.append(gen_vec(i, j))
             if r == 0:
                 values.append(target_word("Sq1Sq2Sq1Sq2", 3, sigma - 4))
             elif r == 1:
@@ -141,7 +132,7 @@ def build_dm_complex(max_sigma: int) -> List[DMComplexStage]:
                     values.append(target_word("Sq2Sq2", 1, sigma - 2))
             else:  # both terms lie in degree 3 sigma - 3
                 td, tv = target_word("Sq2", 2, sigma - 3)
-                values.append((td, tv ^ gen_vec(prev, 0, sigma - 1)[1]))
+                values.append((td, tv ^ gen_vec(0, sigma - 1)[1]))
         boundary = linear_map_from_generators(mod, prev, gens, values)
         stages.append(DMComplexStage(mod, a_gens, boundary))
         prev = mod
@@ -169,82 +160,6 @@ def check_dm_exactness(stages: List[DMComplexStage], max_t: int) -> Dict[str, bo
     # the augmentation is onto
     onto = image(stages[0].boundary.mat(0)).dim == 1
     return {"complex": ok_complex, "exact": ok_exact, "onto": onto}
-
-
-# ---------------------------------------------------------------------------
-# the injective (free) resolution with generators in negative degrees
-
-
-@dataclass
-class InjectiveStage:
-    s: int
-    module: A1Module
-    gens: Dict[int, Tuple[int, int]]     # gen degree -> (degree, vector)
-    f: GradedMap                         # from the previous stage (F2 at 0)
-    r: Tuple[int, int]                   # distinguished element r_s
-    t: Tuple[int, int]                   # t_s = Sq1 r_s
-
-
-def _injective_gen_degrees(s: int) -> List[int]:
-    r = s % 4
-    if r == 0:
-        js = range(s // 2 + 1)
-        extra: List[int] = []
-    elif r == 1:
-        js = range((s - 1) // 2 + 1)
-        extra = [-5 - 3 * s]
-    elif r == 2:
-        js = range((s - 2) // 2 + 1)
-        extra = [-4 - 3 * s]
-    else:
-        js = range((s - 1) // 2 + 1)
-        extra = []
-    return sorted([-s - 4 * j - 6 for j in js] + extra, reverse=True)
-
-
-def build_injective(max_s: int) -> List[InjectiveStage]:
-    """The free resolution that feeds the localized spectral sequence; stage
-    s generators sit in negative degrees -s-4j-6 with boundary-pattern
-    extras, and the structure maps are
-
-        f_s(e[k]) = Sq1 e[k-1] + Sq2 e[k-2] + Sq2Sq1 e[k-3] + Sq2Sq1Sq2 e[k-5]
-
-    omitting any absent generators."""
-    stages: List[InjectiveStage] = []
-    prev: Optional[InjectiveStage] = None
-    for s in range(max_s + 1):
-        degs = _injective_gen_degrees(s)
-        mod = free_module_on([(f"e[{gd}]", gd) for gd in degs])
-        gens = {gd: (gd, 1 << mod.space.labels[gd].index(f"e[{gd}]"))
-                for gd in degs}
-        r_vec = apply_word(mod, "Sq2Sq1Sq2", *gens[-s - 6])
-        t_vec = apply_word(mod, "Sq1", *r_vec)
-        if prev is None:  # the augmentation F2 -> C_0, 1 -> t_0
-            source, gsrcs, gvals = f2(t_vec[0]), [(t_vec[0], 1)], [t_vec]
-        else:
-            source, gsrcs, gvals = prev.module, [], []
-            for k, gv in prev.gens.items():
-                acc = 0
-                for word in ("Sq1", "Sq2", "Sq2Sq1", "Sq2Sq1Sq2"):
-                    if k - WORD_DEGREE[word] in gens:
-                        acc ^= apply_word(mod, word,
-                                          *gens[k - WORD_DEGREE[word]])[1]
-                gsrcs.append(gv)
-                gvals.append((k, acc))
-        # the source is generated by gsrcs, so their values fix the map
-        fmap = linear_map_from_generators(source, mod, gsrcs, gvals)
-        stages.append(InjectiveStage(s, mod, gens, fmap, r_vec, t_vec))
-        prev = stages[-1]
-    return stages
-
-
-def check_injective_exactness(stages: List[InjectiveStage]) -> Dict[str, bool]:
-    """f o f = 0 from the augmentation 1 -> t_0 on, exactness at every stage
-    with an outgoing map, and f_s(r_{s-1}) = t_s."""
-    ok_complex, ok_exact = _exact([st.f for st in stages])
-    ok_rt = all((prev.r[0], st.f.apply(*prev.r)) == st.t
-                for prev, st in zip(stages, stages[1:]))
-    return {"complex": ok_complex, "exact": ok_exact, "r_t": ok_rt}
 
 
 # ---------------------------------------------------------------------------

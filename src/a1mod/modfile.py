@@ -9,9 +9,9 @@
 
 '#' starts a comment; blank lines are ignored; undeclared actions are zero.
 A repeated target in one sum cancels.  ``truncated_above`` and
-``truncated_below`` mark degrees beyond which the presentation is incomplete
-(a dual of a truncated module has a lower bound), which narrows the reliable
-windows of everything computed from it.
+``truncated_below``, at most one line each, mark degrees beyond which the
+presentation is incomplete (a dual of a truncated module has a lower bound),
+which narrows the reliable windows of everything computed from it.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def parse_module(text: str) -> A1Module:
         elif kw in ("truncated_above", "truncated_below"):
             if len(parts) != 2:
                 raise ParseError(line_no, f"expected: {kw} <degree>")
+            if kw in bounds:
+                raise ParseError(line_no, f"duplicate {kw} line")
             try:
                 bounds[kw] = int(parts[1])
             except ValueError:

@@ -1,6 +1,7 @@
 """Every exported name exists, and so does every layer that the benchmark's
-tracer (``perfbench/spans.py``) wraps, so that deleting a function cannot
-silently break ``perfbench/run.py --trace 1``.  Every function, method and
+tracer (``perfbench/spans.py``) wraps and every package attribute its
+workloads call, so that deleting or moving a function cannot silently break
+``perfbench/run.py``.  Every function, method and
 class the package defines, and every name it assigns at module level, is
 used somewhere other than in an import, every field of its dataclasses is
 read, and every parameter with a default is passed by some call, so none
@@ -44,6 +45,24 @@ def test_traced_layers_resolve(layer):
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target)
+
+
+# what perfbench/workloads.py and perfbench/modules.py call on the package
+BENCHMARK_CALLS = [
+    "structure.localize_q0", "structure.classify", "davismahowald.lift_check",
+    "davismahowald.build_dm_complex", "davismahowald.check_dm_exactness",
+    "resolution.ext_dims", "resolution.h0_tower_counts", "cli.main", "module",
+    "f2linalg.BitMatrix"]
+
+
+@pytest.mark.parametrize("attr", BENCHMARK_CALLS)
+def test_benchmark_calls_resolve(attr):
+    first, *rest = attr.split(".")
+    target = (importlib.import_module(f"a1mod.{first}") if first in MODULES
+              else getattr(a1mod, first))
+    for part in rest:
+        target = getattr(target, part)
+    assert callable(target)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
@@ -417,6 +418,65 @@ def test_default_cutoff_limit(capsys, monkeypatch, tmp_path, bottom, command,
     assert json.loads(err) == {
         "command": command, "version": __version__,
         "error": _refusal("cutoff", bottom + span + 19, bottom)}
+
+
+# the e2 chart's stem axis spans the module, so its top degree may reach
+# LIMITS["max_stem"] above the lower of its bottom degree and 0
+@pytest.mark.parametrize("bottom", [0, -10, 5])
+def test_e2_chart_limit(capsys, monkeypatch, tmp_path, bottom):
+    def started(*args, **kwargs):
+        raise _Started
+    monkeypatch.setattr(cli.davismahowald, "e1_page", started)
+    base = min(bottom, 0)
+    top = base + cli.LIMITS["max_stem"]
+    argv = ["chart", "--kind", "e2"]
+    for t in (top, top + 1):
+        (tmp_path / f"top{t}.mod").write_text(
+            f"module m\ngen a {bottom}\ngen b {t}\n")
+    with pytest.raises(_Started):
+        main(argv + [str(tmp_path / f"top{top}.mod")])
+    code, out, err = run(capsys, *argv, str(tmp_path / f"top{top + 1}.mod"))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "command": "chart", "version": __version__,
+        "error": f"line 0: --kind e2 draws stems up to the top degree "
+                 f"{top + 1}, {top + 1 - base} above degree {base}, beyond "
+                 f"the --max-stem limit {cli.LIMITS['max_stem']}"}
+
+
+# every subcommand that reads a module, with its required options; seagull
+# reads none
+WIDE_RUNS = [
+    ["validate"], ["info"], ["reduce"], ["classify"], ["dm-d2"], ["dm-e3"],
+    ["sq4-check"], ["dual"], ["margolis", "--operator", "q0"],
+    ["margolis", "--operator", "q1", "--dual"], ["localize"], ["lift-check"],
+    ["ext", "--max-s", "4", "--max-t", "10"], ["towers", "--max-stem", "4"],
+    ["dm-e1", "--max-sigma", "4"], ["chart"], ["chart", "--format", "svg"],
+    ["chart", "--kind", "e2"], ["chart", "--kind", "e2", "--format", "svg"],
+    ["tensor", "{m}"], ["sum", "{m}"], ["suspend", "--by", "3"]]
+
+
+def test_wide_runs_cover_every_subcommand():
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in WIDE_RUNS} | {"seagull"} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv", WIDE_RUNS, ids=" ".join)
+def test_wide_module_gives_a_small_record_or_a_refusal(capsys, tmp_path,
+                                                       argv):
+    # two cells 10^5 degrees apart: a small record, or an error (classify
+    # finds the module not Q0-local; a size limit refuses) before the work
+    # grows with the span
+    path = tmp_path / "wide.mod"
+    path.write_text("module m\ngen a 0\ngen b 100000\n")
+    code, out, err = run(capsys, argv[0], str(path),
+                         *(a.format(m=path) for a in argv[1:]))
+    if code == 0:
+        assert len(out) < 100_000
+    else:
+        assert code in (1, 2) and out == ""
+        assert set(json.loads(err)) == {"command", "error", "version"}
 
 
 def test_usage_error_exit_2(s1):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from a1mod import a1core, davismahowald, f2linalg, modfile, structure
 from a1mod.a1core import (_word_matrix, apply_word, direct_sum, f2,
                           suspend, tensor, validate)
-from a1mod.davismahowald import (build_N, build_dm_complex, build_injective,
-                                 check_dm_exactness, check_injective_exactness,
-                                 d2, e1_page, e3_page, lift_check,
-                                 localized_ext, seagull_localized_ext,
-                                 sq4_solver)
+from a1mod.davismahowald import (build_N, build_dm_complex,
+                                 check_dm_exactness, d2, e1_page, e3_page,
+                                 lift_check, localized_ext,
+                                 seagull_localized_ext, sq4_solver)
 from a1mod.f2linalg import BitMatrix, Subspace
 from a1mod.margolis import margolis_homology
+import dm_complex
 from random_modules import random_module
 from solver_reference import linear_map_reference, sq4_reference
 
@@ -56,8 +56,8 @@ def test_dm_boundary_respects_split():
 
 
 def test_injective_resolution():
-    stages = build_injective(6)
-    checks = check_injective_exactness(stages)
+    stages = dm_complex.build_injective(6)
+    checks = dm_complex.check_injective_exactness(stages)
     assert checks == {"complex": True, "exact": True, "r_t": True}
     # stage 0's map is the augmentation 1 -> t_0
     assert stages[0].f.apply(stages[0].t[0], 1) == stages[0].t[1]
@@ -74,9 +74,9 @@ def test_exactness_checks_fail_on_a_zero_map():
     dm[2] = dataclasses.replace(dm[2], boundary=_zero_like(dm[2].boundary))
     checks = check_dm_exactness(dm, 40)
     assert (checks["complex"], checks["exact"]) == (True, False)
-    inj = build_injective(4)
+    inj = dm_complex.build_injective(4)
     inj[2] = dataclasses.replace(inj[2], f=_zero_like(inj[2].f))
-    checks = check_injective_exactness(inj)
+    checks = dm_complex.check_injective_exactness(inj)
     assert (checks["complex"], checks["exact"]) == (True, False)
 
 
@@ -314,9 +314,10 @@ def test_dm_and_injective_maps_match_the_reference_solve(monkeypatch):
                          for k in got.source.degrees))
         return got
 
-    monkeypatch.setattr(davismahowald, "linear_map_from_generators", both)
+    for mod in (davismahowald, dm_complex):
+        monkeypatch.setattr(mod, "linear_map_from_generators", both)
     build_dm_complex(10)
-    build_injective(8)
+    dm_complex.build_injective(8)
     assert len(calls) == 11 + 9 and all(calls)
 
 
@@ -340,7 +341,7 @@ def test_no_solve_wider_than_two_degrees(monkeypatch):
     dm = widest([f2()] + [stage.module for stage in build_dm_complex(8)])
     assert max(widths, default=0) <= 2 * dm
     widths.clear()
-    inj = widest([stage.module for stage in build_injective(8)])
+    inj = widest([stage.module for stage in dm_complex.build_injective(8)])
     assert max(widths, default=0) <= 2 * inj
     widths.clear()
     m = tensor(structure.seagull(3), structure.seagull(3))

@@ -68,6 +68,10 @@ def test_comments_and_blanks_ignored():
     ("module m\nfrob x", 2, "unknown keyword"),
     ("module a b", 1, "expected: module <name>"),
     ("module m\ntruncated_above 1 2", 2, "expected: truncated_above <degree>"),
+    ("module m\ntruncated_above 5\ntruncated_above 3", 3,
+     "duplicate truncated_above"),
+    ("module m\ntruncated_below 3\ngen a 4\ntruncated_below 3", 4,
+     "duplicate truncated_below"),
     ("", 1, "header"),
 ])
 def test_parse_errors(text, line, fragment):

@@ -116,7 +116,7 @@ def test_seagull_inf_is_the_truncated_seagull():
 
 
 def test_strip_free():
-    m = direct_sum(free_module(), direct_sum(seagull(2), free_module(3, "h")))
+    m = direct_sum(free_module(), direct_sum(seagull(2), free_module(3)))
     red, ranks = strip_free(m)
     assert {k: r for k, r in ranks.items() if r} == {0: 1, 3: 1}
     assert sum(red.space.dim(k) for k in red.space.degrees) == 8
@@ -221,7 +221,7 @@ def test_classify_refuses_a_floor():
 
 
 def test_classify_free_only():
-    rep = classify(direct_sum(free_module(), free_module(5, "h")))
+    rep = classify(direct_sum(free_module(), free_module(5)))
     assert rep.descriptor.seagulls == ()
     assert rep.descriptor.free_rank_map() == {0: 1, 5: 1}
 
