@@ -38,4 +38,4 @@ print()
 print("degree-4 operator feasibility (Sq1 S4 + S4 Sq1 = Sq2Sq1Sq2):")
 for name, m in [("seagull(1)", seagull(1)), ("seagull(2)", seagull(2)),
                 ("F2", f2())]:
-    print(f"  {name}: {'feasible' if sq4_solver(m).feasible else 'infeasible'}")
+    print(f"  {name}: {'feasible' if sq4_solver(m) else 'infeasible'}")

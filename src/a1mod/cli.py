@@ -211,7 +211,7 @@ def _cmd_lift_check(args, m):
 
 
 def _cmd_sq4_check(args, m):
-    return {"feasible": davismahowald.sq4_solver(m).feasible}, None
+    return {"feasible": davismahowald.sq4_solver(m)}, None
 
 
 def _cmd_chart(args, m):

@@ -12,13 +12,13 @@ from typing import Dict, List, Optional, Tuple
 from .a1core import (A1Module, GradedMap, _word_matrix, apply_word, dualize,
                      f2, linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
-from .f2linalg import BitMatrix, Subspace, complement, image, kernel, solve
+from .f2linalg import BitMatrix, image, kernel, solve
 from .margolis import is_q0_local, margolis_homology
 from .structure import default_cutoff, localize_q0, seagull
 
 __all__ = [
     "DMComplexStage",
-    "LocalizedE1", "D2Data", "E3Page", "LocalizedExt", "LiftVerdict", "Sq4Result",
+    "LocalizedE1", "D2Data", "E3Page", "LocalizedExt", "LiftVerdict",
     "build_N", "build_dm_complex", "check_dm_exactness",
     "e1_page", "d2", "e3_page",
     "seagull_localized_ext", "localized_ext", "lift_check", "sq4_solver",
@@ -334,70 +334,33 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     # multiplication by W, which is d2, is zero on the dual's), so only a
     # truncated module needs the solver
     truncated = m.truncated_above is not None or m.truncated_below is not None
-    if truncated and not sq4_solver(m).feasible:
+    if truncated and not sq4_solver(m):
         evidence.append("no degree-4 operator satisfies the commutator equation")
         return LiftVerdict("no_lift", evidence)
     evidence.append("degree-4 operator exists; no obstruction found")
     return LiftVerdict("inconclusive", evidence)
 
 
-@dataclass
-class Sq4Result:
-    # degree k -> matrix into k+4; None when no operator exists
-    mats: Optional[Dict[int, BitMatrix]]
-
-    @property
-    def feasible(self) -> bool:
-        return self.mats is not None
-
-
-def sq4_solver(m: A1Module) -> Sq4Result:
-    """Look for degreewise maps S: M_k -> M_{k+4} with
+def sq4_solver(m: A1Module) -> bool:
+    """Whether degreewise maps S: M_k -> M_{k+4} exist with
 
         Sq1 S + S Sq1 = Sq2 Sq1 Sq2 = W
 
     across every degree k with k + 5 at or below the truncation cutoff.
-    Infeasibility certifies that no lift exists.
+    False certifies that no lift exists.
 
     W commutes with Sq1, so it is a chain map of degree 5 on the complex
     (M, Sq1), and S is a null-homotopy of it.  Over a field one exists
     exactly when W is zero on homology, here Q0-homology (Weibel, An
     Introduction to Homological Algebra, 1994, ch. 1): W must send the
-    cycles of degree k into the boundaries of degree k + 5.  Split each
-    degree j as boundaries + homology representatives R_j + a complement U_j
-    of the cycles; h inverts Sq1 from U_{j-1} onto the boundaries (zero on
-    R_j and U_j) and pi projects onto R_j.  Then S = W h + h W pi.
+    cycles of degree k into the boundaries of degree k + 5.
     """
-    degs = m.space.degrees
-    span = {k + d for k in degs for d in (-1, 0, 4, 5)}  # the degrees read
-    cycles = {j: kernel(m.sq1.mat(j)) for j in span}
-    bounds = {j: image(m.sq1.mat(j - 1)) for j in span}
-    rest = {j: complement(cycles[j], Subspace.full(m.dim(j))) for j in span}
-    wing = {j: _word_matrix(m, "Sq2Sq1Sq2", j) for j in span}
     cut = m.truncated_above
-    for k in degs:
-        if (cut is None or k + 5 <= cut) and not all(
-                bounds[k + 5].contains(wing[k].apply(z)) for z in cycles[k].basis):
-            return Sq4Result(None)
-
-    def contraction(j: int) -> Tuple[BitMatrix, BitMatrix]:
-        """h: M_j -> M_{j-1} and pi: M_j -> M_j, read off the coordinates
-        in the basis Sq1 U_{j-1}, R_j, U_j of M_j."""
-        n, lifts = m.dim(j), rest[j - 1]
-        reps = complement(bounds[j], cycles[j])
-        basis = BitMatrix.from_columns(
-            n, [m.sq1.apply(j - 1, u) for u in lifts] + reps + rest[j])
-        coords = BitMatrix.from_columns(  # the inverse of basis
-            n, [solve(basis, 1 << c) for c in range(n)]).data
-        nb, nr = len(lifts), len(reps)
-        h = BitMatrix.from_columns(m.dim(j - 1), lifts).mul(
-            BitMatrix(nb, n, coords[:nb]))
-        pi = BitMatrix.from_columns(n, reps).mul(
-            BitMatrix(nr, n, coords[nb:nb + nr]))
-        return h, pi
-
-    hpi = {j: contraction(j) for j in {k + d for k in degs for d in (0, 5)}}
-    return Sq4Result({
-        k: wing[k - 1].mul(hpi[k][0]).add(
-            hpi[k + 5][0].mul(wing[k]).mul(hpi[k][1]))
-        for k in degs if m.dim(k + 4)})
+    for k in m.space.degrees:
+        if cut is not None and k + 5 > cut:
+            continue
+        wing, bounds = _word_matrix(m, "Sq2Sq1Sq2", k), image(m.sq1.mat(k + 4))
+        if not all(bounds.contains(wing.apply(z))
+                   for z in kernel(m.sq1.mat(k)).basis):
+            return False
+    return True

@@ -31,7 +31,7 @@ from .margolis import margolis_homology
 __all__ = [
     "SeagullEntry", "FlockDescriptor", "DecompositionReport",
     "seagull", "seagull_inf", "strip_free", "classify",
-    "localize_q0", "stably_equivalent", "realize",
+    "localize_q0", "default_cutoff", "stably_equivalent", "realize",
 ]
 
 # A seagull is certain only while a further generator could still have been

@@ -148,7 +148,7 @@ FAMILIES: Dict[str, Tuple[Callable[[a1core.A1Module], object], bool]] = {
     "d2": (_d2, False),
     "e1_page": (_e1, False),
     "e3_page": (_e3, False),
-    "sq4_solver": (lambda m: davismahowald.sq4_solver(m).feasible, False),
+    "sq4_solver": (davismahowald.sq4_solver, False),
     "ext_a0": (_ext("a0"), False),
     "ext_a1": (_ext("a1"), False),
     "h0_tower_counts": (_towers, False),

@@ -1,7 +1,8 @@
 """Every exported name exists, and so does every layer that the benchmark's
 tracer (``perfbench/spans.py``) wraps and every package attribute its
 workloads call, so that deleting or moving a function cannot silently break
-``perfbench/run.py``.  Every function, method and
+``perfbench/run.py``.  A module with an ``__all__`` lists in it every
+public function and class it defines.  Every function, method and
 class the package defines, and every name it assigns at module level, is
 used somewhere other than in an import, every field of its dataclasses is
 read, and every parameter with a default is passed by some call, so none
@@ -35,6 +36,20 @@ def test_exported_names_exist(modname):
     mod = importlib.import_module(f"a1mod.{modname}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("modname", [
+    name for name in MODULES
+    if hasattr(importlib.import_module(f"a1mod.{name}"), "__all__")])
+def test_public_names_are_exported(modname):
+    # the converse: a module with an __all__ lists every public function
+    # and class it defines
+    mod = importlib.import_module(f"a1mod.{modname}")
+    tree = ast.parse(Path(mod.__file__).read_text())
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert [n for n in public if n not in mod.__all__] == []
 
 
 @pytest.mark.parametrize("layer", _traced_layers(), ids=lambda layer: layer[0])
