@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .a1core import A1Module, GradedMap, _word_matrix
-from .f2linalg import Subspace, complement, image, kernel
+from .f2linalg import Subspace, complement, image, insert, kernel, mul_rows
 
 __all__ = [
     "MargolisResult", "A0Decomposition",
@@ -85,9 +85,40 @@ def margolis_homology(m: A1Module, op: str = "Q0") -> MargolisResult:
     return MargolisResult(op, reps, (lo_r, hi_r))
 
 
+def _first_q1_degree(m: A1Module) -> Optional[int]:
+    """The lowest degree of the reliable window with Q1-homology, or None.
+
+    Q1 Q1 = 0 (Margolis, 1983), so dim H(Q1)_k = dim M_k - rank Q1_k -
+    rank Q1_(k-3): one rank per degree, of the rows of Sq2 Sq1 + Sq1 Sq2.
+    In the window (k <= cutoff - 5) Q1 Q1 from k - 3 vanishes: it reduces
+    by Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on degrees k - 3 .. k + 3,
+    which ``a1core.validate`` checks there.
+    """
+    lo, hi = _reliable_window(m, "Q1")
+    sq1 = {k: mat.data for k, mat in m.sq1.mats.items()}.get
+    sq2 = {k: mat.data for k, mat in m.sq2.mats.items()}.get
+    ranks: Dict[int, int] = {}
+    for k in m.space.degrees:
+        if (lo is not None and k < lo) or (hi is not None and k > hi):
+            continue
+        for j in (k - 3, k):
+            if j not in ranks:
+                rows, pivots = [0] * m.dim(j + 3), {}
+                for a, b in ((sq2(j + 1), sq1(j)), (sq1(j + 2), sq2(j))):
+                    if a is not None and b is not None:
+                        rows = [x ^ y for x, y in zip(rows, mul_rows(a, b))]
+                for row in rows:
+                    insert(pivots, row, (1 << m.dim(j)) - 1)
+                ranks[j] = len(pivots)
+        if m.dim(k) - ranks[k] - ranks[k - 3]:
+            return k
+    return None
+
+
 def is_q0_local(m: A1Module) -> bool:
-    """True when the Q1-homology vanishes across the reliable window."""
-    return not margolis_homology(m, "Q1").nonzero_degrees()
+    """True when the Q1-homology vanishes across the reliable window, by
+    ranks (``_first_q1_degree``)."""
+    return _first_q1_degree(m) is None
 
 
 def a0_decompose(m: A1Module) -> A0Decomposition:

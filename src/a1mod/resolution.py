@@ -69,7 +69,8 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
     module, then the previous kernel) that it does not reduce to zero
     becomes a new generator.  The cells' rows that it reduces to zero span
     the kernel in degree t, since the generators' values are independent
-    modulo the image of the cells.
+    modulo the image of the cells.  The cells' images lie in the span of
+    the cover vectors, so the scan stops when the pivots reach their count.
 
     A generator in degree t has cells in each degree t..t+6 up to ``max_t``
     (t..t+1 over A(0)) and in no other, and every generator covers a
@@ -129,7 +130,10 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
                 cells.append((gi, w))
             if rows:
                 kernel[t] = rows
-            for v in cover.get(t, ()):
+            vectors = cover.get(t, ())
+            for v in vectors:
+                if len(pivots) == len(vectors):  # the rest are spanned
+                    break
                 if not insert(pivots, v | 1 << (n + len(cells)), mask) & mask:
                     continue
                 fit = fits[min(max_t - t, len(fits) - 1)]

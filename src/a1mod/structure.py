@@ -13,20 +13,24 @@ injective and a module map M -> A(1){k} is fixed by one linear functional
 phi on M_{k+6}: it sends y to sum_w phi(w^ y) w g, where w^ is the dual
 word of w (``a1core.DUAL_WORD``).  ``strip_free`` picks all free generators
 and all functionals at once and keeps the common kernel of the retractions.
+``strip_free`` and ``classify`` run one elimination per degree on the row
+tuples of the structure matrices, and ``classify`` tests Q1-homology by
+ranks (``margolis._first_q1_degree``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
-                     _require_bottom, _word_matrix, apply_word, direct_sum,
-                     free_module, module, module_from_edges, tensor, truncate,
-                     zero_module)
+from .a1core import (DUAL_WORD, WORD_DEGREE, WORDS, A1Module, _require_bottom,
+                     _word_matrix, direct_sum, free_module, module,
+                     module_from_edges, tensor, truncate, zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
-from .f2linalg import BitMatrix, Subspace, complement, kernel, mul_rows, solve
-from .margolis import margolis_homology
+from .f2linalg import (BitMatrix, Subspace, canonical, insert, kernel,
+                       mul_rows, solve)
+from .margolis import _first_q1_degree
 
 __all__ = [
     "SeagullEntry", "FlockDescriptor", "DecompositionReport",
@@ -125,24 +129,30 @@ def seagull_inf(cutoff: int, shift: int = 0) -> A1Module:
 
 
 def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
-    """The module structure induced on an action-closed graded subspace."""
-    labels: Dict[int, List[str]] = {}
-    for k, s in sorted(sub.items()):
-        if s.dim:
-            labels[k] = [f"k{k}_{i}" for i in range(s.dim)]
+    """The module structure induced on an action-closed graded subspace.
+
+    With B_d the matrix whose columns are the canonical basis in degree d,
+    a map A restricts to the rows of A B_k at the pivots of B_(k+step),
+    since no other basis vector has a bit there; B_(k+step) times them
+    must give back A B_k."""
+    labels = {k: [f"k{k}_{i}" for i in range(s.dim)]
+              for k, s in sorted(sub.items()) if s.dim}
+    cols = {k: BitMatrix.from_columns(m.dim(k), s.basis).data
+            for k, s in sub.items() if s.dim}
 
     def restrict(gmap, step):
         mats = {}
         for k, s in sub.items():
-            if s.dim == 0:
-                continue
             tgt = sub.get(k + step)
-            if tgt is None or tgt.dim == 0:
+            if not s.dim or tgt is None or not tgt.dim:
                 continue
-            cols = [tgt.coords(gmap.apply(k, b)) for b in s.basis]
-            if None in cols:
+            mat = gmap.mats.get(k)
+            images = ([0] * m.dim(k + step) if mat is None
+                      else mul_rows(mat.data, cols[k]))
+            rows = [images[(b & -b).bit_length() - 1] for b in tgt.basis]
+            if mul_rows(cols[k + step], rows) != images:
                 raise ShapeMismatch("subspace not closed under the action")
-            mats[k] = BitMatrix.from_columns(tgt.dim, cols)
+            mats[k] = BitMatrix(tgt.dim, s.dim, tuple(rows))
         return mats
 
     return module(labels, restrict(m.sq1, 1), restrict(m.sq2, 2),
@@ -157,26 +167,38 @@ def _free_cells(m: A1Module) -> Dict[int, Tuple[List[int], BitMatrix]]:
     composite T = Sq2Sq1Sq2Sq1 is nonzero: generators x_1..x_r complementing
     the kernel of T, and a matrix whose row i is a functional phi_i on
     degree k + 6 with phi_i(T x_j) = delta_ij.
+    One pivot table gives both: e_c is a generator when column c of T is
+    independent of the columns before it, and enters tagged with its index
+    i; phi_i sums the pivots of the canonical rows whose tags hold bit i.
     """
     cells: Dict[int, Tuple[List[int], BitMatrix]] = {}
     cut = m.truncated_above
+    sq1 = {k: mat.data for k, mat in m.sq1.mats.items()}.get
+    sq2 = {k: mat.data for k, mat in m.sq2.mats.items()}.get
     for k in m.space.degrees:
         if cut is not None and k > cut - BOUNDARY:
             break
-        top = _word_matrix(m, TOP_WORD, k)
-        if top.is_zero():
+        # T = Sq2Sq1Sq2Sq1 (a1core.TOP_WORD), Sq1 acting first
+        factors = (sq2(k + 4), sq1(k + 3), sq2(k + 1), sq1(k))
+        if None in factors or not any(top := reduce(mul_rows, factors)):
             continue
-        gens = complement(kernel(top), Subspace.full(m.dim(k)))
-        tops = BitMatrix(len(gens), top.rows,
-                         tuple(mul_rows(gens, top.transpose().data)))
-        cells[k] = (gens, BitMatrix(len(gens), top.rows, tuple(
-            solve(tops, 1 << i) for i in range(len(gens)))))
+        n = len(top)
+        mask = (1 << n) - 1
+        pivots: Dict[int, int] = {}
+        gens: List[int] = []
+        for c, col in enumerate(BitMatrix.from_columns(m.dim(k), top).data):
+            if insert(pivots, col | 1 << (n + len(gens)), mask) & mask:
+                gens.append(1 << c)
+        reduced = canonical(pivots)
+        tags = BitMatrix.from_columns(len(gens), [r >> n for r in reduced])
+        phis = mul_rows(tags.data, [r & -r for r in reduced])
+        cells[k] = (gens, BitMatrix(len(gens), n, tuple(phis)))
     return cells
 
 
 def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
     """Split off a maximal free summand (generated below cutoff - 6 when
-    truncated above) in one pass.
+    truncated above) in one pass, with one elimination per degree.
 
     Returns the complement and the rank of the free part per generator
     degree; the input itself when nothing splits.  The retraction onto the
@@ -187,7 +209,8 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
     after inclusion is the identity modulo decomposables, hence invertible
     (Nakayama), and M is the free part plus the common kernel of the
     retractions: in degree d, the null space of the rows phi_i o w^ over
-    every cell (k, i) and word w with k + |w| = d.
+    every cell (k, i) and word w with k + |w| = d, and all of degree d
+    where there are no such rows.
     """
     cells = _free_cells(m)
     if not cells:
@@ -206,8 +229,8 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
             d = k + WORD_DEGREE[w]
             if m.dim(d):
                 rows.setdefault(d, []).extend(chain[DUAL_WORD[w]])
-    sub = {d: kernel(BitMatrix(len(rows.get(d, ())), m.dim(d),
-                               tuple(rows.get(d, ()))))
+    sub = {d: kernel(BitMatrix(len(rows[d]), m.dim(d), tuple(rows[d])))
+           if d in rows else Subspace.full(m.dim(d))
            for d in m.space.degrees}
     return (_submodule_restriction(m, sub),
             {k: len(gens) for k, (gens, _) in cells.items()})
@@ -215,7 +238,7 @@ def strip_free(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
 
 def classify(m: A1Module) -> DecompositionReport:
     """Decompose a bounded-below Q0-local module into seagulls plus a free
-    part, by induction over degrees.
+    part, by induction over degrees, with one elimination per degree.
 
     The induction keeps C, the submodule generated by the seagull and
     unresolved generators chosen so far, and grows it one degree at a time.
@@ -226,7 +249,10 @@ def classify(m: A1Module) -> DecompositionReport:
         C_k = span(Sq1 C_(k-1) + Sq2 C_(k-2)),
 
     and C_(k-1) and C_(k-2) are final once degree k is reached.  The
-    generators chosen in degree k then widen C_k.
+    generators of degree k complete C_k and ker Sq1 to all of degree k, so
+    C_k is spanned by the columns of Sq1 from k - 1 and Sq2 from k - 2.
+    One pivot table takes those, then the canonical basis of ker Sq1 and
+    then the unit vectors; the vectors it files are the generators.
 
     Raises NotQ0Local when the module has Q1-homology in the reliable window
     or when the inductive invariants fail outside the truncation boundary,
@@ -236,15 +262,14 @@ def classify(m: A1Module) -> DecompositionReport:
     _require_bottom(m, "classification")
     log: List[str] = []
     red, free_ranks = strip_free(m)
-    bad = margolis_homology(red, "Q1").nonzero_degrees()
-    if bad:
-        raise NotQ0Local(bad[0])
+    bad = _first_q1_degree(red)
+    if bad is not None:
+        raise NotQ0Local(bad)
     cut = red.truncated_above
 
     # per seagull: its (degree, vector) generators, its bottom degree first
     seagulls: List[List[Tuple[int, int]]] = []
     residue: List[int] = []
-    sub: Dict[int, Tuple[int, ...]] = {}  # degree -> basis of C there
 
     def unresolved(k: int, note: str, reason: str) -> None:
         """A generator of degree k that joins no seagull: residue in the
@@ -256,50 +281,61 @@ def classify(m: A1Module) -> DecompositionReport:
 
     for k in red.space.degrees:
         dk = red.dim(k)
-        base = Subspace.span(
-            [red.sq1.apply(k - 1, v) for v in sub.get(k - 1, ())]
-            + [red.sq2.apply(k - 2, v) for v in sub.get(k - 2, ())], dk)
-        sub[k] = base.basis
-        if cut is not None and k + 1 > cut:
-            ker_k = Subspace.full(dk)      # the differential out of k is unseen
-        else:
-            ker_k = kernel(red.sq1.mat(k))
-        base_plus_ker = base.add(ker_k)
-        kernel_gens = complement(base, ker_k)
-        other_gens = complement(base_plus_ker, Subspace.full(dk))
+        mask = (1 << dk) - 1
+        pivots: Dict[int, int] = {}
+        for mat in (red.sq1.mats.get(k - 1), red.sq2.mats.get(k - 2)):
+            for col in (mat.transpose().data if mat else ()):
+                insert(pivots, col, mask)
+        if len(pivots) == dk:  # C_k is all of degree k: no generators
+            continue
+        base = canonical(pivots)  # the basis of C_k
+        units = [1 << i for i in range(dk)]
+        sq1 = red.sq1.mat(k)
+        # without a matrix, Sq1 vanishes on degree k or lands above the cutoff
+        ker_k = kernel(sq1).basis if k in red.sq1.mats else units
+        kernel_gens = [v for v in ker_k if insert(pivots, v, mask)]
+        other_gens = ([v for v in units if insert(pivots, v, mask)]
+                      if len(pivots) < dk else [])
 
         lengthened: List[int] = []  # indices of seagulls extended this degree
-        new_vectors: List[int] = []
 
+        if kernel_gens:
+            wing_k = _word_matrix(red, "Sq2Sq1Sq2", k)
         for b in kernel_gens:
-            new_vectors.append(b)
-            if ((cut is None or k + 5 <= cut)
-                    and apply_word(red, "Sq2Sq1Sq2", k, b)[1]):
+            if (cut is None or k + 5 <= cut) and wing_k.apply(b):
                 seagulls.append([(k, b)])
                 continue
             unresolved(k, "unresolved kernel generator",
                        "kernel class with vanishing Sq2Sq1Sq2")
 
-        if other_gens:  # both systems are fixed until sub[k] grows
-            step1 = _step1_system(red, sub, k)
+        if other_gens:  # Sq1 on C_k's basis beside Sq2 on degree k-1, all in C
+            ones = mul_rows(sq1.data, BitMatrix.from_columns(dk, base).data)
+            step1 = BitMatrix(sq1.rows, len(base) + red.dim(k - 1), tuple(
+                x | y << len(base)
+                for x, y in zip(ones, red.sq2.mat(k - 1).data)))
             wing = _word_matrix(red, "Sq2Sq1Sq2", k - 4)
         for b in other_gens:
-            ok, b_hat, hit = _adjust_and_match(red, sub[k], step1, wing,
-                                               seagulls, k, b)
-            if not ok:
-                new_vectors.append(b)
+            # step 1: adjust b by a in C_k so that Sq1 b = Sq1 a + Sq2 c with
+            # c in C; step 2: express Sq1 of the result through Sq2Sq1Sq2 of
+            # the flock's generators of degree k-4
+            x = solve(step1, sq1.apply(b))
+            if x is not None:
+                b_hat = b ^ mul_rows([x & (1 << len(base)) - 1], base)[0]
+                cand = {i: v for i, s in enumerate(seagulls)
+                        for d, v in s if d == k - 4}
+                y = solve(BitMatrix.from_columns(sq1.rows, [
+                    wing.apply(v) for v in cand.values()]), sq1.apply(b_hat))
+            if x is None or y is None:
                 unresolved(k, "unresolved generator",
                            "generator cannot be matched to the flock")
                 continue
+            hit = [i for c, i in enumerate(cand) if (y >> c) & 1]
             # fold in this round's lengthened seagulls, keep only available ones
-            avail_hit = []
             for i in hit:
                 if i in lengthened:
                     b_hat ^= seagulls[i][-1][1]
-                else:
-                    avail_hit.append(i)
+            avail_hit = [i for i in hit if i not in lengthened]
             if not avail_hit:
-                new_vectors.append(b)
                 unresolved(k, "no available seagull",
                            "no available seagull to extend")
                 continue
@@ -310,10 +346,6 @@ def classify(m: A1Module) -> DecompositionReport:
                     merged[d] = merged.get(d, 0) ^ v
             seagulls[p] = sorted(merged.items()) + [(k, b_hat)]
             lengthened.append(p)
-            new_vectors.append(b_hat)
-
-        if new_vectors:
-            sub[k] = Subspace.span(base.basis + tuple(new_vectors), dk).basis
 
     entries = []
     residue_set = set(residue)
@@ -326,52 +358,6 @@ def classify(m: A1Module) -> DecompositionReport:
         entries.append(SeagullEntry(gens[0][0], len(gens), exact))
     desc = FlockDescriptor.make(entries, free_ranks.items(), cutoff=cut)
     return DecompositionReport(desc, seagulls, residue, log)
-
-
-def _step1_system(red, sub, k):
-    """Sq1 on the basis of C_k beside Sq2 on that of C_(k-1), as the
-    columns of one matrix: the system of step 1 of ``_adjust_and_match``
-    in degree k.  It is [Sq1 | Sq2] times the block-diagonal matrix of the
-    two bases, one product."""
-    dk = red.dim(k)
-    ops = BitMatrix(red.dim(k + 1), dk + red.dim(k - 1), tuple(
-        x | y << dk for x, y in zip(red.sq1.mat(k).data,
-                                    red.sq2.mat(k - 1).data)))
-    return ops.mul(BitMatrix.block_diag([
-        BitMatrix.from_columns(dk, sub[k]),
-        BitMatrix.from_columns(red.dim(k - 1), sub.get(k - 1, ()))]))
-
-
-def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
-    """Adjust b by an element of the current submodule so that Sq1 b lies
-    in the image of Sq2Sq1Sq2 on degree k-4 seagull generators, and
-    express it there.  ``a_vecs`` is the submodule's basis in degree k,
-    ``step1`` the system of ``_step1_system`` and ``wing`` the matrix of
-    Sq2Sq1Sq2 on degree k-4.  Returns (ok, adjusted b, hit seagull
-    indices)."""
-    dk1 = red.dim(k + 1)
-    target = red.sq1.apply(k, b)
-    # step 1: write Sq1 b = Sq1 a + Sq2 c with a, c in the submodule
-    x = solve(step1, target)
-    if x is None:
-        return False, b, []
-    b_hat = b
-    for c, v in enumerate(a_vecs):
-        if (x >> c) & 1:
-            b_hat ^= v
-    # step 2: express Sq1 b_hat through Sq2Sq1Sq2 of degree k-4 generators
-    rhs = red.sq1.apply(k, b_hat)
-    cand = [i for i, s in enumerate(seagulls)
-            if any(d == k - 4 for d, _ in s)]
-    ccols = []
-    for i in cand:
-        gvec = next(v for d, v in seagulls[i] if d == k - 4)
-        ccols.append(wing.apply(gvec))
-    y = solve(BitMatrix.from_columns(dk1, ccols), rhs)
-    if y is None:
-        return False, b_hat, []
-    hit = [cand[c] for c in range(len(cand)) if (y >> c) & 1]
-    return True, b_hat, hit
 
 
 def localize_q0(m: A1Module, cutoff: Optional[int] = None) -> DecompositionReport:

@@ -10,18 +10,25 @@ output bit at a time, where ``a1core.tensor`` shifts whole Kronecker
 blocks.  ``minimal_resolution_reference`` visits every degree of every
 stage and multiplies words factor by factor, where
 ``resolution.minimal_resolution`` visits only degrees with cells or cover
-vectors and reads products off a table.  The tests compare each pair on the
-same inputs.
+vectors and reads products off a table.  ``classify_reference`` and
+``strip_free_reference`` run one span, kernel, complement or solve per
+question, where ``structure.classify`` and ``structure.strip_free`` share one
+elimination per degree.  The tests compare each pair on the same inputs.
 """
 
 from typing import Dict, List, Optional, Tuple
 
-from a1mod.a1core import (PRODUCT, WORD_DEGREE, A1Module, GradedMap,
-                          GradedSpace, _bound, _extent, _shifted, _word_matrix,
-                          apply_word, module, zero_module)
-from a1mod.errors import ShapeMismatch, TruncationTooTight
-from a1mod.f2linalg import BitMatrix, insert
+from a1mod.a1core import (DUAL_WORD, PRODUCT, TOP_WORD, WORD_DEGREE, WORDS,
+                          A1Module, GradedMap, GradedSpace, _bound, _extent,
+                          _require_bottom, _shifted, _word_matrix, apply_word,
+                          module, zero_module)
+from a1mod.errors import NotQ0Local, ShapeMismatch, TruncationTooTight
+from a1mod.f2linalg import (BitMatrix, Subspace, complement, insert, kernel,
+                            mul_rows, solve)
+from a1mod.margolis import margolis_homology
 from a1mod.resolution import _ALGEBRAS, ResolutionStage
+from a1mod.structure import (BOUNDARY, DecompositionReport, FlockDescriptor,
+                             SeagullEntry)
 
 
 def eliminate(rows: List[int], cols: int) -> Tuple[List[int], List[int]]:
@@ -371,3 +378,261 @@ def minimal_resolution_reference(m: A1Module, algebra: str = "a1",
         stages.append(stage)
         cover = kernel
     return stages
+
+
+def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
+    """The module structure induced on an action-closed graded subspace."""
+    labels: Dict[int, List[str]] = {}
+    for k, s in sorted(sub.items()):
+        if s.dim:
+            labels[k] = [f"k{k}_{i}" for i in range(s.dim)]
+
+    def restrict(gmap, step):
+        mats = {}
+        for k, s in sub.items():
+            if s.dim == 0:
+                continue
+            tgt = sub.get(k + step)
+            if tgt is None or tgt.dim == 0:
+                continue
+            cols = [tgt.coords(gmap.apply(k, b)) for b in s.basis]
+            if None in cols:
+                raise ShapeMismatch("subspace not closed under the action")
+            mats[k] = BitMatrix.from_columns(tgt.dim, cols)
+        return mats
+
+    return module(labels, restrict(m.sq1, 1), restrict(m.sq2, 2),
+                  truncated_above=m.truncated_above,
+                  truncated_below=m.truncated_below, name=m.name)
+
+
+def free_cells_reference(m: A1Module
+                         ) -> Dict[int, Tuple[List[int], BitMatrix]]:
+    """``structure._free_cells`` with one ``solve`` per generator.
+    Generators of a maximal free summand and their top functionals.
+
+    For each degree k (k <= cutoff - 6 when truncated above) where the top
+    composite T = Sq2Sq1Sq2Sq1 is nonzero: generators x_1..x_r complementing
+    the kernel of T, and a matrix whose row i is a functional phi_i on
+    degree k + 6 with phi_i(T x_j) = delta_ij.
+    """
+    cells: Dict[int, Tuple[List[int], BitMatrix]] = {}
+    cut = m.truncated_above
+    for k in m.space.degrees:
+        if cut is not None and k > cut - BOUNDARY:
+            break
+        top = _word_matrix(m, TOP_WORD, k)
+        if top.is_zero():
+            continue
+        gens = complement(kernel(top), Subspace.full(m.dim(k)))
+        tops = BitMatrix(len(gens), top.rows,
+                         tuple(mul_rows(gens, top.transpose().data)))
+        cells[k] = (gens, BitMatrix(len(gens), top.rows, tuple(
+            solve(tops, 1 << i) for i in range(len(gens)))))
+    return cells
+
+
+def strip_free_reference(m: A1Module) -> Tuple[A1Module, Dict[int, int]]:
+    """``structure.strip_free`` as it was before one elimination per degree:
+    one ``solve`` per free generator, one ``kernel`` per degree and one
+    ``coords`` per basis vector.  Split off a maximal free summand
+    (generated below cutoff - 6 when truncated above) in one pass.
+
+    Returns the complement and the rank of the free part per generator
+    degree; the input itself when nothing splits.  The retraction onto the
+    cell on x_i in degree k sends y to sum_w phi_i(w^ y) w g, where w^ is
+    the dual word of w and phi_i the functional from
+    ``free_cells_reference``; it is an A(1)-map because A(1) is a Frobenius
+    algebra (Margolis, 1983).  It sends x_i to g and the other generators of
+    degree k to 0, so retraction after inclusion is the identity modulo
+    decomposables, hence invertible (Nakayama), and M is the free part plus
+    the common kernel of the retractions: in degree d, the null space of the
+    rows phi_i o w^ over every cell (k, i) and word w with k + |w| = d.
+    """
+    cells = free_cells_reference(m)
+    if not cells:
+        return m, {}
+    rows: Dict[int, List[int]] = {}
+    for k, (_, phis) in cells.items():
+        # phi o u = (phi o p) o Sq for each word u = p Sq (Sq acting first):
+        # dropping the rightmost factor of a word leaves a word, so seven
+        # row products give all eight
+        chain = {"1": phis.data}
+        for u in WORDS[1:]:
+            sq = m.sq1 if u.endswith("Sq1") else m.sq2
+            chain[u] = mul_rows(chain[u[:-3] or "1"],
+                                sq.mat(k + 6 - WORD_DEGREE[u]).data)
+        for w in WORDS:
+            d = k + WORD_DEGREE[w]
+            if m.dim(d):
+                rows.setdefault(d, []).extend(chain[DUAL_WORD[w]])
+    sub = {d: kernel(BitMatrix(len(rows.get(d, ())), m.dim(d),
+                               tuple(rows.get(d, ()))))
+           for d in m.space.degrees}
+    return (_submodule_restriction(m, sub),
+            {k: len(gens) for k, (gens, _) in cells.items()})
+
+
+def classify_reference(m: A1Module) -> DecompositionReport:
+    """``structure.classify`` as it was before one elimination per degree:
+    the Q1 test through ``margolis_homology``, and per degree a span of the
+    images, a kernel, two complements and ``GradedMap.apply`` on vectors.
+    Decompose a bounded-below Q0-local module into seagulls plus a free
+    part, by induction over degrees.
+
+    The induction keeps C, the submodule generated by the seagull and
+    unresolved generators chosen so far, and grows it one degree at a time.
+    A(1) is generated by Sq1 and Sq2, so every word of positive degree is
+    Sq1 or Sq2 times a shorter word; hence the part of C in degree k
+    generated below k is
+
+        C_k = span(Sq1 C_(k-1) + Sq2 C_(k-2)),
+
+    and C_(k-1) and C_(k-2) are final once degree k is reached.  The
+    generators chosen in degree k then widen C_k.
+
+    Raises NotQ0Local when the module has Q1-homology in the reliable window
+    or when the inductive invariants fail outside the truncation boundary,
+    and TruncationTooTight for a module truncated below: the induction
+    starts at the bottom degree, which such a module does not carry.
+    """
+    _require_bottom(m, "classification")
+    log: List[str] = []
+    red, free_ranks = strip_free_reference(m)
+    bad = margolis_homology(red, "Q1").nonzero_degrees()
+    if bad:
+        raise NotQ0Local(bad[0])
+    cut = red.truncated_above
+
+    # per seagull: its (degree, vector) generators, its bottom degree first
+    seagulls: List[List[Tuple[int, int]]] = []
+    residue: List[int] = []
+    sub: Dict[int, Tuple[int, ...]] = {}  # degree -> basis of C there
+
+    def unresolved(k: int, note: str, reason: str) -> None:
+        """A generator of degree k that joins no seagull: residue in the
+        boundary zone below the cutoff, a failed invariant elsewhere."""
+        if cut is None or k <= cut - BOUNDARY:
+            raise NotQ0Local(k, reason)
+        residue.append(k)
+        log.append(f"degree {k}: {note} near cutoff")
+
+    for k in red.space.degrees:
+        dk = red.dim(k)
+        base = Subspace.span(
+            [red.sq1.apply(k - 1, v) for v in sub.get(k - 1, ())]
+            + [red.sq2.apply(k - 2, v) for v in sub.get(k - 2, ())], dk)
+        sub[k] = base.basis
+        if cut is not None and k + 1 > cut:
+            ker_k = Subspace.full(dk)      # the differential out of k is unseen
+        else:
+            ker_k = kernel(red.sq1.mat(k))
+        base_plus_ker = base.add(ker_k)
+        kernel_gens = complement(base, ker_k)
+        other_gens = complement(base_plus_ker, Subspace.full(dk))
+
+        lengthened: List[int] = []  # indices of seagulls extended this degree
+        new_vectors: List[int] = []
+
+        for b in kernel_gens:
+            new_vectors.append(b)
+            if ((cut is None or k + 5 <= cut)
+                    and apply_word(red, "Sq2Sq1Sq2", k, b)[1]):
+                seagulls.append([(k, b)])
+                continue
+            unresolved(k, "unresolved kernel generator",
+                       "kernel class with vanishing Sq2Sq1Sq2")
+
+        if other_gens:  # both systems are fixed until sub[k] grows
+            step1 = _step1_system(red, sub, k)
+            wing = _word_matrix(red, "Sq2Sq1Sq2", k - 4)
+        for b in other_gens:
+            ok, b_hat, hit = _adjust_and_match(red, sub[k], step1, wing,
+                                               seagulls, k, b)
+            if not ok:
+                new_vectors.append(b)
+                unresolved(k, "unresolved generator",
+                           "generator cannot be matched to the flock")
+                continue
+            # fold in this round's lengthened seagulls, keep only available ones
+            avail_hit = []
+            for i in hit:
+                if i in lengthened:
+                    b_hat ^= seagulls[i][-1][1]
+                else:
+                    avail_hit.append(i)
+            if not avail_hit:
+                new_vectors.append(b)
+                unresolved(k, "no available seagull",
+                           "no available seagull to extend")
+                continue
+            p = min(avail_hit, key=lambda i: seagulls[i][0][0])
+            merged: Dict[int, int] = {}
+            for i in avail_hit:
+                for d, v in seagulls[i]:
+                    merged[d] = merged.get(d, 0) ^ v
+            seagulls[p] = sorted(merged.items()) + [(k, b_hat)]
+            lengthened.append(p)
+            new_vectors.append(b_hat)
+
+        if new_vectors:
+            sub[k] = Subspace.span(base.basis + tuple(new_vectors), dk).basis
+
+    entries = []
+    residue_set = set(residue)
+    for gens in seagulls:
+        top = gens[-1][0]
+        # exact only when the degree where the next generator would have
+        # attached was decided cleanly below the boundary zone
+        exact = cut is None or (top <= cut - BOUNDARY
+                                and top + 4 not in residue_set)
+        entries.append(SeagullEntry(gens[0][0], len(gens), exact))
+    desc = FlockDescriptor.make(entries, free_ranks.items(), cutoff=cut)
+    return DecompositionReport(desc, seagulls, residue, log)
+
+
+def _step1_system(red, sub, k):
+    """Sq1 on the basis of C_k beside Sq2 on that of C_(k-1), as the
+    columns of one matrix: the system of step 1 of ``_adjust_and_match``
+    in degree k.  It is [Sq1 | Sq2] times the block-diagonal matrix of the
+    two bases, one product."""
+    dk = red.dim(k)
+    ops = BitMatrix(red.dim(k + 1), dk + red.dim(k - 1), tuple(
+        x | y << dk for x, y in zip(red.sq1.mat(k).data,
+                                    red.sq2.mat(k - 1).data)))
+    return ops.mul(BitMatrix.block_diag([
+        BitMatrix.from_columns(dk, sub[k]),
+        BitMatrix.from_columns(red.dim(k - 1), sub.get(k - 1, ()))]))
+
+
+def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
+    """Adjust b by an element of the current submodule so that Sq1 b lies
+    in the image of Sq2Sq1Sq2 on degree k-4 seagull generators, and
+    express it there.  ``a_vecs`` is the submodule's basis in degree k,
+    ``step1`` the system of ``_step1_system`` and ``wing`` the matrix of
+    Sq2Sq1Sq2 on degree k-4.  Returns (ok, adjusted b, hit seagull
+    indices)."""
+    dk1 = red.dim(k + 1)
+    target = red.sq1.apply(k, b)
+    # step 1: write Sq1 b = Sq1 a + Sq2 c with a, c in the submodule
+    x = solve(step1, target)
+    if x is None:
+        return False, b, []
+    b_hat = b
+    for c, v in enumerate(a_vecs):
+        if (x >> c) & 1:
+            b_hat ^= v
+    # step 2: express Sq1 b_hat through Sq2Sq1Sq2 of degree k-4 generators
+    rhs = red.sq1.apply(k, b_hat)
+    cand = [i for i, s in enumerate(seagulls)
+            if any(d == k - 4 for d, _ in s)]
+    ccols = []
+    for i in cand:
+        gvec = next(v for d, v in seagulls[i] if d == k - 4)
+        ccols.append(wing.apply(gvec))
+    y = solve(BitMatrix.from_columns(dk1, ccols), rhs)
+    if y is None:
+        return False, b_hat, []
+    hit = [cand[c] for c in range(len(cand)) if (y >> c) & 1]
+    return True, b_hat, hit
+

@@ -85,6 +85,35 @@ def test_is_q0_local():
     assert err.value.degree == 0
 
 
+def test_is_q0_local_by_ranks_matches_the_homology():
+    # the rank test against the cycle representatives, on modules truncated
+    # above and below, and classify's refusal at the first Q1 degree of the
+    # reduced module
+    rng = random.Random(11)
+    dual = a1core.dualize(structure.seagull_inf(20))
+    mods = [dual, a1core.tensor(dual, structure.seagull(1)),
+            a1core.tensor(dual, a1core.f2(3)), structure.seagull_inf(13)]
+    mods += [random_module(rng) for _ in range(150)]
+    refused = 0
+    for m in mods:
+        bad = margolis_homology(m, "Q1").nonzero_degrees()
+        assert is_q0_local(m) == (not bad)
+        if m.truncated_below is not None:
+            continue
+        bad = margolis_homology(structure.strip_free(m)[0], "Q1"
+                                ).nonzero_degrees()
+        if bad:
+            with pytest.raises(NotQ0Local) as err:
+                structure.classify(m)
+            assert err.value.degree == bad[0]
+            refused += 1
+    assert refused
+    assert any(m.truncated_below is not None and not is_q0_local(m)
+               for m in mods)
+    assert any(m.truncated_above is not None and not is_q0_local(m)
+               for m in mods)
+
+
 def test_a0_decompose_counts():
     m = structure.seagull(1)
     dec = a0_decompose(m)

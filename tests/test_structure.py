@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import a1core, davismahowald, structure
+from a1mod import a1core, davismahowald, f2linalg, margolis, structure
 from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, _word_matrix,
                           apply_word,
                           direct_sum, dualize, free_module, suspend, tensor,
                           truncate)
-from a1mod.errors import IncomparableCutoffs, NotQ0Local, TruncationTooTight
+from a1mod.errors import (A1ModError, IncomparableCutoffs, NotQ0Local,
+                          TruncationTooTight)
 from a1mod.f2linalg import Subspace, kernel, rank
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
                              localize_q0, realize, seagull, seagull_inf,
                              stably_equivalent, strip_free)
 from random_modules import random_automorphism, random_module
+from solver_reference import (classify_reference, free_cells_reference,
+                              strip_free_reference)
 
 
 def test_seagull_dims():
@@ -82,6 +85,71 @@ def test_classify_builds_one_step1_system_per_degree(monkeypatch):
         classify(local)
         monkeypatch.undo()
         assert len(calls) <= local.space.total_dim(), n
+
+
+def test_classify_inserts_a_fixed_number_of_rows_per_degree(monkeypatch):
+    # a count, not a timing: one pivot table per degree for the induction
+    # and one rank per degree for the Q1 test, whatever the module's length
+    insert = f2linalg.insert
+    calls = []
+    for mod in (f2linalg, structure, margolis):
+        monkeypatch.setattr(mod, "insert", lambda *a: (
+            calls.append(1) or insert(*a)), raising=False)
+    for n in (16, 64):
+        m = seagull_inf(n)
+        calls.clear()
+        classify(m)
+        assert 0 < len(calls) <= 5 * len(m.space.degrees), n
+
+
+def test_strip_free_solves_nothing(monkeypatch):
+    # every functional of a degree comes off one elimination of [tops | I]
+    def no_solve(*args):
+        raise AssertionError("strip_free called solve")
+    for mod in (f2linalg, structure):
+        monkeypatch.setattr(mod, "solve", no_solve)
+    inputs = [direct_sum(seagull(2), free_module(1)),
+              reduce(direct_sum, [seagull(2)] + [free_module(k % 3)
+                                                 for k in range(6)]),
+              tensor(seagull(2), seagull(2))]
+    for m in inputs:
+        _, ranks = strip_free(m)
+        assert ranks
+
+
+def _outcome(run, m):
+    """What ``run(m)`` returns as plain data, or its error's class and
+    text."""
+    try:
+        out = run(m)
+    except A1ModError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, structure.DecompositionReport):
+        return out.descriptor, out.witnesses, out.residue_degrees, out.log
+    red, ranks = out
+    return (ranks, red.space.labels, list(red.sq1.mats.items()),
+            list(red.sq2.mats.items()), red.truncated_above,
+            red.truncated_below, red.name)
+
+
+def test_classify_and_strip_free_match_the_reference():
+    # equal free cells and functionals, equal reduced modules, and equal
+    # reports or equal errors, on twisted draws with and without
+    # truncations and on localizations of 20 of them
+    rng = random.Random(23)
+    localized = 0
+    for i in range(160):
+        m = random_module(rng, truncated=i % 2 == 0)
+        inputs = [m]
+        if localized < 20 and m.lo is not None and m.truncated_below is None:
+            cut = structure.default_cutoff(m) - m.lo
+            inputs.append(tensor(seagull_inf(cut), m))
+            localized += 1
+        for x in inputs:
+            assert structure._free_cells(x) == free_cells_reference(x)
+            assert _outcome(strip_free, x) == _outcome(strip_free_reference, x)
+            assert _outcome(classify, x) == _outcome(classify_reference, x)
+    assert localized == 20
 
 
 def test_bottom_witnesses_lie_in_the_kernel_of_sq1():
