@@ -8,7 +8,14 @@ integer degree, with degree +1 and +2 operators satisfying
     (2) Sq2 Sq2 = Sq1 Sq2 Sq1
 
 Words are written with the rightmost factor acting first, so ``Sq1Sq2``
-applied to v is Sq1(Sq2(v)).
+applied to v is Sq1(Sq2(v)).  A word is ``"1"`` or a string of ``Sq1`` and
+``Sq2``; ``_factors`` parses it, once per word, and refuses anything else.
+It acts on a module along one of two paths: ``apply_word`` on a vector, and
+``_word_rows`` on a whole degree, as the rows of the word's matrix.  Both
+read a factor whose structure matrix is absent (the degree it leaves or
+the one it reaches is empty, or lies above a truncation cutoff) as zero,
+so the whole word is zero from that degree: ``apply_word`` returns the
+zero vector and ``_word_rows`` returns None.
 
 Every presentation built here (free modules, seagulls, the polynomial
 family, ``.mod`` files) is a list of labelled basis cells plus Sq1 and Sq2
@@ -19,6 +26,7 @@ edges between them, and goes through ``module_from_edges``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RelationViolation, ShapeMismatch, TruncationTooTight
@@ -272,47 +280,68 @@ def validate(m: A1Module) -> None:
     zero, and the rows of Sq2 Sq2 must equal those of Sq1 Sq2 Sq1.  That is
     at most four row products per degree, so the cost is linear in the
     number of degrees; a product with an absent factor is zero and is not
-    formed.  Sq1 Sq1 is checked before Sq2 Sq2 at each degree, lowest
-    degree first; the first failure raises ``RelationViolation``.
+    formed, as in ``_word_rows``.  Sq1 Sq1 is checked before Sq2 Sq2 at each
+    degree, lowest degree first; the first failure raises
+    ``RelationViolation``.
     """
-    sq1 = {k: mat.data for k, mat in m.sq1.mats.items()}.get
-    sq2 = {k: mat.data for k, mat in m.sq2.mats.items()}.get
+    # products written out: through _word_rows, validate took 1.5x the CPU
+    # time on small modules (26 instead of 17 us per module)
+    sq1, sq2 = m.sq1.mats.get, m.sq2.mats.get
     cut = m.truncated_above
     for k in m.space.degrees:
         if cut is None or k + 2 <= cut:
             a, b = sq1(k + 1), sq1(k)
-            if a is not None and b is not None and any(mul_rows(a, b)):
+            if a is not None and b is not None and any(mul_rows(a.data, b.data)):
                 raise RelationViolation(k, "Sq1 Sq1 = 0")
         if cut is None or k + 4 <= cut:
             a, b = sq2(k + 2), sq2(k)
-            lhs = None if a is None or b is None else mul_rows(a, b)
+            lhs = None if a is None or b is None else mul_rows(a.data, b.data)
             a, b, c = sq1(k + 3), sq2(k + 1), sq1(k)
-            rhs = None if None in (a, b, c) else mul_rows(mul_rows(a, b), c)
+            rhs = (None if None in (a, b, c)
+                   else mul_rows(mul_rows(a.data, b.data), c.data))
             if lhs != rhs and (any(lhs or ()) or any(rhs or ())):
                 raise RelationViolation(k, "Sq2 Sq2 = Sq1 Sq2 Sq1")
+
+
+@lru_cache(maxsize=256)
+def _factors(word: str) -> Tuple[int, ...]:
+    """The degrees of a word's factors, rightmost (acting first) first:
+    1 for Sq1, 2 for Sq2, none for ``"1"``.  Raises ``ValueError`` for
+    anything that is neither ``"1"`` nor a string of ``Sq1`` and ``Sq2``."""
+    if word == "1":
+        return ()
+    ops = [word[i:i + 3] for i in range(0, len(word), 3)]
+    if not ops or any(op not in ("Sq1", "Sq2") for op in ops):
+        raise ValueError(f"unknown word {word!r}")
+    return tuple(int(op[2]) for op in reversed(ops))
 
 
 def apply_word(m: A1Module, word: str, k: int, v: int) -> Tuple[int, int]:
     """Apply a composite word (rightmost factor first) to v in degree k.
 
     Returns (degree, vector).  Factors falling above a truncation cutoff
-    yield the zero vector in the nominal degree.
+    yield the zero vector in the nominal degree.  Raises ``ValueError`` for
+    a malformed word (``_factors``).
     """
-    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
-        op = word[i:i + 3]
-        v = (m.sq1 if op == "Sq1" else m.sq2).apply(k, v)
-        k += 1 if op == "Sq1" else 2
+    for step in _factors(word):
+        v = (m.sq1 if step == 1 else m.sq2).apply(k, v)
+        k += step
     return k, v
 
 
-def _word_matrix(m: A1Module, word: str, k: int) -> BitMatrix:
-    """Matrix of a composite word (rightmost factor first) from degree k."""
-    out = None
-    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
-        sq = m.sq1 if word[i:i + 3] == "Sq1" else m.sq2
-        out = sq.mat(k) if out is None else sq.mat(k).mul(out)
-        k += sq.shift
-    return BitMatrix.identity(m.dim(k)) if out is None else out
+def _word_rows(m: A1Module, word: str, k: int) -> Optional[Sequence[int]]:
+    """The rows of the matrix of a word from degree k to k + |word|, one
+    ``mul_rows`` per factor after the first, and the identity's for
+    ``"1"``.  None when a factor has no structure matrix: the word is zero
+    from degree k."""
+    rows: Optional[Sequence[int]] = None
+    for step in _factors(word):
+        mat = (m.sq1 if step == 1 else m.sq2).mats.get(k)
+        if mat is None:
+            return None
+        rows = mat.data if rows is None else mul_rows(mat.data, rows)
+        k += step
+    return [1 << i for i in range(m.dim(k))] if rows is None else rows
 
 
 def f2(degree: int = 0) -> A1Module:

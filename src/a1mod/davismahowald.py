@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (A1Module, GradedMap, _word_matrix, apply_word, dualize,
+from .a1core import (A1Module, GradedMap, _word_rows, apply_word, dualize,
                      f2, linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
 from .f2linalg import BitMatrix, image, kernel, solve
@@ -359,7 +359,11 @@ def sq4_solver(m: A1Module) -> bool:
     for k in m.space.degrees:
         if cut is not None and k + 5 > cut:
             continue
-        wing, bounds = _word_matrix(m, "Sq2Sq1Sq2", k), image(m.sq1.mat(k + 4))
+        rows = _word_rows(m, "Sq2Sq1Sq2", k)
+        if rows is None:  # W is zero from degree k
+            continue
+        wing = BitMatrix(len(rows), m.dim(k), tuple(rows))
+        bounds = image(m.sq1.mat(k + 4))
         if not all(bounds.contains(wing.apply(z))
                    for z in kernel(m.sq1.mat(k)).basis):
             return False

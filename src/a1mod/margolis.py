@@ -6,10 +6,10 @@ free and trivial pieces over the subalgebra generated by Sq1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .a1core import A1Module, GradedMap, _word_matrix
-from .f2linalg import Subspace, complement, image, insert, kernel, mul_rows
+from .a1core import A1Module, GradedMap, _word_rows
+from .f2linalg import BitMatrix, Subspace, complement, image, insert, kernel
 
 __all__ = [
     "MargolisResult", "A0Decomposition",
@@ -49,11 +49,20 @@ class A0Decomposition:
     trivial: List[Tuple[int, int]]
 
 
+def _q1_rows(m: A1Module, k: int) -> Optional[Sequence[int]]:
+    """The rows of Q1 = Sq2 Sq1 + Sq1 Sq2 from degree k; None when both
+    words are zero there (``a1core._word_rows``)."""
+    a, b = _word_rows(m, "Sq2Sq1", k), _word_rows(m, "Sq1Sq2", k)
+    if a is None or b is None:
+        return b if a is None else a
+    return [x ^ y for x, y in zip(a, b)]
+
+
 def q1_map(m: A1Module) -> GradedMap:
     """Q1 = Sq2 Sq1 + Sq1 Sq2, a degree 3 operator with Q1 Q1 = 0."""
     return GradedMap(m.space, m.space, 3, {
-        k: _word_matrix(m, "Sq2Sq1", k).add(_word_matrix(m, "Sq1Sq2", k))
-        for k in m.space.degrees if m.dim(k + 3)})
+        k: BitMatrix(m.dim(k + 3), m.dim(k), tuple(rows))
+        for k in m.space.degrees if (rows := _q1_rows(m, k)) is not None})
 
 
 def _reliable_window(m: A1Module, op: str) -> Tuple[Optional[int], Optional[int]]:
@@ -89,25 +98,20 @@ def _first_q1_degree(m: A1Module) -> Optional[int]:
     """The lowest degree of the reliable window with Q1-homology, or None.
 
     Q1 Q1 = 0 (Margolis, 1983), so dim H(Q1)_k = dim M_k - rank Q1_k -
-    rank Q1_(k-3): one rank per degree, of the rows of Sq2 Sq1 + Sq1 Sq2.
-    In the window (k <= cutoff - 5) Q1 Q1 from k - 3 vanishes: it reduces
-    by Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on degrees k - 3 .. k + 3,
-    which ``a1core.validate`` checks there.
+    rank Q1_(k-3): one pivot-table rank per degree, of the rows of Q1 from
+    ``_q1_rows``, each formed once.  In the window (k <= cutoff - 5) Q1 Q1
+    from k - 3 vanishes: it reduces by Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1
+    on degrees k - 3 .. k + 3, which ``a1core.validate`` checks there.
     """
     lo, hi = _reliable_window(m, "Q1")
-    sq1 = {k: mat.data for k, mat in m.sq1.mats.items()}.get
-    sq2 = {k: mat.data for k, mat in m.sq2.mats.items()}.get
     ranks: Dict[int, int] = {}
     for k in m.space.degrees:
         if (lo is not None and k < lo) or (hi is not None and k > hi):
             continue
         for j in (k - 3, k):
             if j not in ranks:
-                rows, pivots = [0] * m.dim(j + 3), {}
-                for a, b in ((sq2(j + 1), sq1(j)), (sq1(j + 2), sq2(j))):
-                    if a is not None and b is not None:
-                        rows = [x ^ y for x, y in zip(rows, mul_rows(a, b))]
-                for row in rows:
+                pivots: Dict[int, int] = {}
+                for row in _q1_rows(m, j) or ():
                     insert(pivots, row, (1 << m.dim(j)) - 1)
                 ranks[j] = len(pivots)
         if m.dim(k) - ranks[k] - ranks[k - 3]:

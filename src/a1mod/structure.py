@@ -21,12 +21,11 @@ ranks (``margolis._first_q1_degree``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (DUAL_WORD, WORD_DEGREE, WORDS, A1Module, _require_bottom,
-                     _word_matrix, direct_sum, free_module, module,
-                     module_from_edges, tensor, truncate, zero_module)
+from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
+                     _require_bottom, _word_rows, direct_sum, free_module,
+                     module, module_from_edges, tensor, truncate, zero_module)
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import (BitMatrix, Subspace, canonical, insert, kernel,
                        mul_rows, solve)
@@ -173,14 +172,11 @@ def _free_cells(m: A1Module) -> Dict[int, Tuple[List[int], BitMatrix]]:
     """
     cells: Dict[int, Tuple[List[int], BitMatrix]] = {}
     cut = m.truncated_above
-    sq1 = {k: mat.data for k, mat in m.sq1.mats.items()}.get
-    sq2 = {k: mat.data for k, mat in m.sq2.mats.items()}.get
     for k in m.space.degrees:
         if cut is not None and k > cut - BOUNDARY:
             break
-        # T = Sq2Sq1Sq2Sq1 (a1core.TOP_WORD), Sq1 acting first
-        factors = (sq2(k + 4), sq1(k + 3), sq2(k + 1), sq1(k))
-        if None in factors or not any(top := reduce(mul_rows, factors)):
+        top = _word_rows(m, TOP_WORD, k)
+        if top is None or not any(top):
             continue
         n = len(top)
         mask = (1 << n) - 1
@@ -279,6 +275,12 @@ def classify(m: A1Module) -> DecompositionReport:
         residue.append(k)
         log.append(f"degree {k}: {note} near cutoff")
 
+    def wing_from(j: int) -> BitMatrix:
+        """The matrix of Sq2Sq1Sq2 from degree j."""
+        rows = _word_rows(red, "Sq2Sq1Sq2", j)
+        return BitMatrix(red.dim(j + 5), red.dim(j),
+                         tuple(rows or [0] * red.dim(j + 5)))
+
     for k in red.space.degrees:
         dk = red.dim(k)
         mask = (1 << dk) - 1
@@ -300,7 +302,7 @@ def classify(m: A1Module) -> DecompositionReport:
         lengthened: List[int] = []  # indices of seagulls extended this degree
 
         if kernel_gens:
-            wing_k = _word_matrix(red, "Sq2Sq1Sq2", k)
+            wing_k = wing_from(k)
         for b in kernel_gens:
             if (cut is None or k + 5 <= cut) and wing_k.apply(b):
                 seagulls.append([(k, b)])
@@ -313,7 +315,7 @@ def classify(m: A1Module) -> DecompositionReport:
             step1 = BitMatrix(sq1.rows, len(base) + red.dim(k - 1), tuple(
                 x | y << len(base)
                 for x, y in zip(ones, red.sq2.mat(k - 1).data)))
-            wing = _word_matrix(red, "Sq2Sq1Sq2", k - 4)
+            wing = wing_from(k - 4)
         for b in other_gens:
             # step 1: adjust b by a in C_k so that Sq1 b = Sq1 a + Sq2 c with
             # c in C; step 2: express Sq1 of the result through Sq2Sq1Sq2 of

@@ -13,15 +13,19 @@ stage and multiplies words factor by factor, where
 vectors and reads products off a table.  ``classify_reference`` and
 ``strip_free_reference`` run one span, kernel, complement or solve per
 question, where ``structure.classify`` and ``structure.strip_free`` share one
-elimination per degree.  The tests compare each pair on the same inputs.
+elimination per degree.  ``_word_matrix`` is a verbatim copy of the word
+matrix that ``a1core`` built factor by factor with ``BitMatrix.mul`` before
+``a1core._word_rows`` replaced it; the references use it, and the tests
+use it as a route to word matrices apart from ``_word_rows``.  The tests
+compare each pair on the same inputs.
 """
 
 from typing import Dict, List, Optional, Tuple
 
 from a1mod.a1core import (DUAL_WORD, PRODUCT, TOP_WORD, WORD_DEGREE, WORDS,
                           A1Module, GradedMap, GradedSpace, _bound, _extent,
-                          _require_bottom, _shifted, _word_matrix, apply_word,
-                          module, zero_module)
+                          _require_bottom, _shifted, apply_word, module,
+                          zero_module)
 from a1mod.errors import NotQ0Local, ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import (BitMatrix, Subspace, complement, insert, kernel,
                             mul_rows, solve)
@@ -98,6 +102,16 @@ def complement_reference(inner: Tuple[int, ...], outer: Tuple[int, ...],
             current = reduced
             picked.append(v)
     return picked
+
+
+def _word_matrix(m: A1Module, word: str, k: int) -> BitMatrix:
+    """Matrix of a composite word (rightmost factor first) from degree k."""
+    out = None
+    for i in range(len(word) - 3, -1, -3):  # rightmost factor first
+        sq = m.sq1 if word[i:i + 3] == "Sq1" else m.sq2
+        out = sq.mat(k) if out is None else sq.mat(k).mul(out)
+        k += sq.shift
+    return BitMatrix.identity(m.dim(k)) if out is None else out
 
 
 def _solve_packed(rows: List[int], rhs: List[int], n: int):

@@ -160,6 +160,17 @@ def test_apply_word_order():
     assert v1 != v2 and v1 and v2
 
 
+@pytest.mark.parametrize("word", ["Sq3", "Sq1Sq", "sq1", "", "Sq1 Sq2",
+                                  "1Sq1", "Sq2Sq0"])
+def test_malformed_words_are_refused(word):
+    # a word is "1" or a string of Sq1 and Sq2, on both word paths
+    a1 = free_module()
+    with pytest.raises(ValueError, match="unknown word"):
+        apply_word(a1, word, 0, 1)
+    with pytest.raises(ValueError, match="unknown word"):
+        a1core._word_rows(a1, word, 0)
+
+
 def test_f2_and_suspend():
     m = suspend(f2(), 7)
     assert list(m.space.degrees) == [7]

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, davismahowald, f2linalg, modfile, structure
-from a1mod.a1core import (_word_matrix, apply_word, direct_sum, f2,
-                          suspend, tensor, validate)
+from a1mod.a1core import apply_word, direct_sum, f2, suspend, tensor, validate
 from a1mod.davismahowald import (build_N, build_dm_complex,
                                  check_dm_exactness, d2, e1_page, e3_page,
                                  lift_check, localized_ext,
@@ -17,7 +16,7 @@ from a1mod.f2linalg import BitMatrix, Subspace
 from a1mod.margolis import margolis_homology
 import dm_complex
 from random_modules import random_module
-from solver_reference import linear_map_reference, sq4_reference
+from solver_reference import _word_matrix, linear_map_reference, sq4_reference
 
 
 def test_n_sigma_validates():

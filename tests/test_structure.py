@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -6,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, davismahowald, f2linalg, margolis, structure
-from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, _word_matrix,
-                          apply_word,
-                          direct_sum, dualize, free_module, suspend, tensor,
-                          truncate)
+from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, _word_rows,
+                          apply_word, direct_sum, dualize, free_module, suspend,
+                          tensor, truncate)
 from a1mod.errors import (A1ModError, IncomparableCutoffs, NotQ0Local,
                           TruncationTooTight)
-from a1mod.f2linalg import Subspace, kernel, rank
+from a1mod.f2linalg import BitMatrix, Subspace, kernel, rank
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
                              localize_q0, realize, seagull, seagull_inf,
                              stably_equivalent, strip_free)
 from random_modules import random_automorphism, random_module
-from solver_reference import (classify_reference, free_cells_reference,
-                              strip_free_reference)
+from solver_reference import (_word_matrix, classify_reference,
+                              free_cells_reference, strip_free_reference)
 
 
 def test_seagull_dims():
@@ -73,18 +73,25 @@ def test_classify_work_is_linear_in_degrees(monkeypatch):
 
 
 def test_classify_builds_one_step1_system_per_degree(monkeypatch):
-    # the step-1 system and the wing matrix are fixed for a degree, so the
-    # per-generator work applies no structure map to the submodule's basis
+    # the step-1 system and the wing matrices are fixed for a degree, so
+    # classify forms each word's rows once per degree, never once per
+    # generator: a wing at most twice from any degree (for its kernel
+    # generators there, and for the generators four degrees up), however
+    # many seagulls pass through it
+    calls = []
+    word_rows = structure._word_rows
+    monkeypatch.setattr(structure, "_word_rows", lambda m, w, k: (
+        calls.append((w, k)) or word_rows(m, w, k)))
+    inputs = []
     for n in (2, 3):
-        m = tensor(seagull(n), seagull(n))
-        local = tensor(seagull_inf(structure.default_cutoff(m) - m.lo), m)
-        calls = []
-        apply = a1core.GradedMap.apply
-        monkeypatch.setattr(a1core.GradedMap, "apply", lambda self, k, v: (
-            calls.append(1) or apply(self, k, v)))
-        classify(local)
-        monkeypatch.undo()
-        assert len(calls) <= local.space.total_dim(), n
+        t = tensor(seagull(n), seagull(n))
+        inputs.append(tensor(seagull_inf(structure.default_cutoff(t) - t.lo), t))
+    inputs.append(reduce(direct_sum, [seagull(6)] * 3))
+    for x in inputs:
+        calls.clear()
+        report = classify(x)
+        assert max(Counter(calls).values()) <= 2
+    assert len(report.witnesses) == 3  # three generators in each degree 4j
 
 
 def test_classify_inserts_a_fixed_number_of_rows_per_degree(monkeypatch):
@@ -195,14 +202,30 @@ def _top_rank(m, k):
 
 
 def test_word_matrix_matches_apply_word():
-    m = random_automorphism(random.Random(3), direct_sum(
-        seagull(2), direct_sum(free_module(1), a1core.f2(2))))
-    for w in WORDS:
-        for k in range(-1, 8):
-            mat = _word_matrix(m, w, k)
-            assert (mat.rows, mat.cols) == (m.dim(k + WORD_DEGREE[w]), m.dim(k))
-            for i in range(m.dim(k)):
-                assert mat.apply(1 << i) == apply_word(m, w, k, 1 << i)[1]
+    # the rows of every word, admissible or not, against the vector path,
+    # on random-basis modules truncated above and below and on degrees
+    # beyond both ends, where missing factors make the word zero
+    rng = random.Random(3)
+    mods = [random_automorphism(rng, direct_sum(
+                seagull(2), direct_sum(free_module(1), a1core.f2(2)))),
+            random_automorphism(rng, seagull_inf(14, 1)),
+            random_automorphism(rng, dualize(seagull_inf(13)))]
+    words = WORDS + ("Sq1Sq1", "Sq2Sq2", "Sq1Sq2Sq1Sq2")
+    zero = Counter()
+    for m in mods:
+        for w in words:
+            for k in range(m.lo - 2, m.hi + 3):
+                rows = _word_rows(m, w, k)
+                d = apply_word(m, w, k, 0)[0]
+                zero[rows is None] += 1
+                if rows is None:  # a factor without a matrix: zero from k
+                    rows = [0] * m.dim(d)
+                mat = BitMatrix(m.dim(d), m.dim(k), tuple(rows))
+                if w in WORD_DEGREE:
+                    assert d == k + WORD_DEGREE[w]
+                for i in range(m.dim(k)):
+                    assert mat.apply(1 << i) == apply_word(m, w, k, 1 << i)[1]
+    assert zero[True] and zero[False]
 
 
 def _random_split_input(rng):
