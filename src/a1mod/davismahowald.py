@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 from .a1core import (A1Module, GradedMap, _word_rows, apply_word, dualize,
                      f2, linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
-from .f2linalg import BitMatrix, image, kernel, solve
+from .f2linalg import BitMatrix, image, kernel, rank, solve
 from .margolis import is_q0_local, margolis_homology
 from .structure import default_cutoff, localize_q0, seagull
 
@@ -254,10 +254,10 @@ def e3_page(m: A1Module) -> E3Page:
     data = d2(m)
     first: List[Tuple[int, int]] = []
     generic: List[Tuple[int, int]] = []
-    for delta in sorted(data.mats):  # the degrees of the dual Q0-homology
-        ker_dim = kernel(data.mats[delta]).dim
+    for delta, mat in sorted(data.mats.items()):  # dual Q0-homology degrees
+        ker_dim = mat.cols - rank(mat)
         src = data.mats.get(delta - 5)  # maps classes at delta-5 into delta
-        im_dim = image(src).dim if src is not None and src.rows else 0
+        im_dim = rank(src) if src is not None else 0
         first.append((-delta, ker_dim))
         generic.append((delta, ker_dim - im_dim))
     return E3Page(first, generic)

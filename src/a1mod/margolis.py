@@ -6,14 +6,14 @@ free and trivial pieces over the subalgebra generated by Sq1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .a1core import A1Module, GradedMap, _word_rows
+from .a1core import A1Module, _word_rows
 from .f2linalg import BitMatrix, Subspace, complement, image, insert, kernel
 
 __all__ = [
     "MargolisResult", "A0Decomposition",
-    "q1_map", "margolis_homology", "is_q0_local", "a0_decompose",
+    "margolis_homology", "is_q0_local", "a0_decompose",
 ]
 
 _SHIFT = {"Q0": 1, "Q1": 3}
@@ -49,80 +49,78 @@ class A0Decomposition:
     trivial: List[Tuple[int, int]]
 
 
-def _q1_rows(m: A1Module, k: int) -> Optional[Sequence[int]]:
-    """The rows of Q1 = Sq2 Sq1 + Sq1 Sq2 from degree k; None when both
-    words are zero there (``a1core._word_rows``)."""
+def _op_rows(m: A1Module, op: str, k: int) -> Optional[Sequence[int]]:
+    """The rows of Q0 = Sq1 or of Q1 = Sq2 Sq1 + Sq1 Sq2 from degree k;
+    None when the operator is zero there (``a1core._word_rows``)."""
+    if op == "Q0":
+        return _word_rows(m, "Sq1", k)
     a, b = _word_rows(m, "Sq2Sq1", k), _word_rows(m, "Sq1Sq2", k)
     if a is None or b is None:
         return b if a is None else a
     return [x ^ y for x, y in zip(a, b)]
 
 
-def q1_map(m: A1Module) -> GradedMap:
-    """Q1 = Sq2 Sq1 + Sq1 Sq2, a degree 3 operator with Q1 Q1 = 0."""
-    return GradedMap(m.space, m.space, 3, {
-        k: BitMatrix(m.dim(k + 3), m.dim(k), tuple(rows))
-        for k in m.space.degrees if (rows := _q1_rows(m, k)) is not None})
-
-
 def _reliable_window(m: A1Module, op: str) -> Tuple[Optional[int], Optional[int]]:
-    lo = None
-    hi = None
-    if m.truncated_above is not None:
-        hi = m.truncated_above - _SLACK[op]
-    if m.truncated_below is not None:
-        lo = m.truncated_below + _SLACK[op]
-    return lo, hi
+    cut, floor, slack = m.truncated_above, m.truncated_below, _SLACK[op]
+    return (None if floor is None else floor + slack,
+            None if cut is None else cut - slack)
+
+
+def _homology_dims(m: A1Module, op: str) -> Iterator[Tuple[int, int]]:
+    """(k, dim H(M; op)_k) for each degree of the reliable window, ascending.
+
+    Q_i Q_i = 0 (Margolis, *Spectra and the Steenrod Algebra*, 1983), so
+    the image of op into degree k lies in the kernel of op from k and
+    dim H_k = dim M_k - rank op_k - rank op_(k-shift).  In the window
+    (k <= cutoff - slack) op op from k - shift reduces to zero by
+    Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on degrees that
+    ``a1core.validate`` checks.  Each rank is one pivot table over the rows
+    of ``_op_rows``, formed once; callers may stop at the first nonzero.
+    """
+    shift = _SHIFT[op]
+    lo, hi = _reliable_window(m, op)
+    ranks: Dict[int, int] = {}
+
+    def rank_from(j: int) -> int:
+        if j not in ranks:
+            pivots: Dict[int, int] = {}
+            for row in _op_rows(m, op, j) or ():
+                insert(pivots, row, (1 << m.dim(j)) - 1)
+            ranks[j] = len(pivots)
+        return ranks[j]
+
+    for k in m.space.degrees:
+        if (lo is None or k >= lo) and (hi is None or k <= hi):
+            yield k, m.dim(k) - rank_from(k) - rank_from(k - shift)
 
 
 def margolis_homology(m: A1Module, op: str = "Q0") -> MargolisResult:
-    """Degreewise ker/im homology of Q0 or Q1.
+    """Homology of Q0 or Q1 in each degree of the reliable window.
 
-    For the dual side pass ``a1core.dualize(m)``; its dimensions agree with
-    those of m at negated degrees.
+    The dimensions come from the rank pass ``_homology_dims``; only a
+    degree with homology gets representatives, a basis of ker op_k modulo
+    im op_(k-shift), and every other degree an empty list.  For the dual
+    side pass ``a1core.dualize(m)``; its dimensions agree with those of m
+    at negated degrees.
     """
     if op not in _SHIFT:
         raise ValueError(f"unknown operator {op!r}")
-    q = m.sq1 if op == "Q0" else q1_map(m)
     shift = _SHIFT[op]
-    lo_r, hi_r = _reliable_window(m, op)
-    reps: Dict[int, List[int]] = {}
-    for k in m.space.degrees:
-        if (lo_r is not None and k < lo_r) or (hi_r is not None and k > hi_r):
-            continue
-        reps[k] = complement(image(q.mat(k - shift)), kernel(q.mat(k)))
-    return MargolisResult(op, reps, (lo_r, hi_r))
 
+    def matrix(k: int) -> BitMatrix:
+        rows = _op_rows(m, op, k) or (0,) * m.dim(k + shift)
+        return BitMatrix(m.dim(k + shift), m.dim(k), tuple(rows))
 
-def _first_q1_degree(m: A1Module) -> Optional[int]:
-    """The lowest degree of the reliable window with Q1-homology, or None.
-
-    Q1 Q1 = 0 (Margolis, 1983), so dim H(Q1)_k = dim M_k - rank Q1_k -
-    rank Q1_(k-3): one pivot-table rank per degree, of the rows of Q1 from
-    ``_q1_rows``, each formed once.  In the window (k <= cutoff - 5) Q1 Q1
-    from k - 3 vanishes: it reduces by Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1
-    on degrees k - 3 .. k + 3, which ``a1core.validate`` checks there.
-    """
-    lo, hi = _reliable_window(m, "Q1")
-    ranks: Dict[int, int] = {}
-    for k in m.space.degrees:
-        if (lo is not None and k < lo) or (hi is not None and k > hi):
-            continue
-        for j in (k - 3, k):
-            if j not in ranks:
-                pivots: Dict[int, int] = {}
-                for row in _q1_rows(m, j) or ():
-                    insert(pivots, row, (1 << m.dim(j)) - 1)
-                ranks[j] = len(pivots)
-        if m.dim(k) - ranks[k] - ranks[k - 3]:
-            return k
-    return None
+    reps: Dict[int, List[int]] = {
+        k: complement(image(matrix(k - shift)), kernel(matrix(k))) if d else []
+        for k, d in _homology_dims(m, op)}
+    return MargolisResult(op, reps, _reliable_window(m, op))
 
 
 def is_q0_local(m: A1Module) -> bool:
     """True when the Q1-homology vanishes across the reliable window, by
-    ranks (``_first_q1_degree``)."""
-    return _first_q1_degree(m) is None
+    ranks (``_homology_dims``), stopping at the first degree with any."""
+    return not any(d for _, d in _homology_dims(m, "Q1"))
 
 
 def a0_decompose(m: A1Module) -> A0Decomposition:
@@ -131,11 +129,12 @@ def a0_decompose(m: A1Module) -> A0Decomposition:
     In each degree, vectors completing ker(Sq1) to the whole degree span free
     summands together with their Sq1-images; the Q0-homology representatives
     of ``margolis_homology`` span trivial summands.  The listed vectors
-    jointly form a basis of every degree in its reliable window.
+    jointly form a basis of every degree in the Q0 reliable window.
     """
     pairs: List[Tuple[int, int, int]] = []
+    hi = _reliable_window(m, "Q0")[1]
     for k in m.space.degrees:
-        if m.truncated_above is not None and k > m.truncated_above - 1:
+        if hi is not None and k > hi:
             continue
         for b in complement(kernel(m.sq1.mat(k)), Subspace.full(m.dim(k))):
             pairs.append((k, b, m.sq1.apply(k, b)))

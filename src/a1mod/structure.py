@@ -15,7 +15,7 @@ word of w (``a1core.DUAL_WORD``).  ``strip_free`` picks all free generators
 and all functionals at once and keeps the common kernel of the retractions.
 ``strip_free`` and ``classify`` run one elimination per degree on the row
 tuples of the structure matrices, and ``classify`` tests Q1-homology by
-ranks (``margolis._first_q1_degree``).
+ranks (``margolis._homology_dims``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
 from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import (BitMatrix, Subspace, canonical, insert, kernel,
                        mul_rows, solve)
-from .margolis import _first_q1_degree
+from .margolis import _homology_dims
 
 __all__ = [
     "SeagullEntry", "FlockDescriptor", "DecompositionReport",
@@ -258,9 +258,9 @@ def classify(m: A1Module) -> DecompositionReport:
     _require_bottom(m, "classification")
     log: List[str] = []
     red, free_ranks = strip_free(m)
-    bad = _first_q1_degree(red)
-    if bad is not None:
-        raise NotQ0Local(bad)
+    for k, d in _homology_dims(red, "Q1"):
+        if d:
+            raise NotQ0Local(k)
     cut = red.truncated_above
 
     # per seagull: its (degree, vector) generators, its bottom degree first

@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import a1core, structure
+from a1mod import a1core, margolis, structure
 from a1mod.errors import NotQ0Local
-from a1mod.margolis import (a0_decompose, is_q0_local, margolis_homology,
-                            q1_map)
+from a1mod.f2linalg import (BitMatrix, Subspace, complement, image, kernel,
+                            mul_rows)
+from a1mod.margolis import (_op_rows, a0_decompose, is_q0_local,
+                            margolis_homology)
 from random_modules import random_module
+
+SHIFT = {"Q0": 1, "Q1": 3}
+Q_WORDS = {"Q0": ("Sq1",), "Q1": ("Sq2Sq1", "Sq1Sq2")}
 
 
 def test_seagull_q0_homology():
@@ -70,9 +75,20 @@ def test_dual_side_mirrors_on_random_modules(seed):
 
 
 def test_q1_squares_to_zero():
-    m = a1core.tensor(structure.seagull(2), structure.seagull(1))
-    q1 = q1_map(m)
-    assert q1.compose(q1).is_zero()
+    # wherever both factors act, truncated modules and their duals included
+    rng = random.Random(5)
+    pairs = truncated = 0
+    for i in range(200):
+        m = random_module(rng)
+        m = a1core.dualize(m) if i % 2 else m
+        for k in m.space.degrees:
+            inner, outer = _op_rows(m, "Q1", k), _op_rows(m, "Q1", k + 3)
+            if inner is not None and outer is not None:
+                assert not any(mul_rows(outer, inner))
+                pairs += 1
+                truncated += (m.truncated_above is not None
+                              or m.truncated_below is not None)
+    assert pairs > 1000 and truncated > 500
 
 
 def test_is_q0_local():
@@ -85,10 +101,32 @@ def test_is_q0_local():
     assert err.value.degree == 0
 
 
-def test_is_q0_local_by_ranks_matches_the_homology():
-    # the rank test against the cycle representatives, on modules truncated
-    # above and below, and classify's refusal at the first Q1 degree of the
-    # reduced module
+def _reference_reps(m, op, k):
+    """The homology representatives in degree k by the formula
+    complement(image, kernel), on matrices built column by column from
+    ``apply_word`` on unit vectors."""
+    def matrix(j):
+        cols = []
+        for i in range(m.dim(j)):
+            v = 0
+            for word in Q_WORDS[op]:
+                v ^= a1core.apply_word(m, word, j, 1 << i)[1]
+            cols.append(v)
+        return BitMatrix.from_columns(m.dim(j + SHIFT[op]), cols)
+    return complement(image(matrix(k - SHIFT[op])), kernel(matrix(k)))
+
+
+def _checked_homology(m, op):
+    h = margolis_homology(m, op)
+    assert h.reps == {k: _reference_reps(m, op, k)
+                      for k in m.space.degrees if h.in_range(k)}
+    return h
+
+
+def test_margolis_homology_matches_an_independent_route():
+    # the rank pass and its representatives against apply_word matrices, on
+    # modules truncated above and below and their duals, and classify's
+    # refusal at the first Q1 degree of the reduced module
     rng = random.Random(11)
     dual = a1core.dualize(structure.seagull_inf(20))
     mods = [dual, a1core.tensor(dual, structure.seagull(1)),
@@ -96,11 +134,13 @@ def test_is_q0_local_by_ranks_matches_the_homology():
     mods += [random_module(rng) for _ in range(150)]
     refused = 0
     for m in mods:
-        bad = margolis_homology(m, "Q1").nonzero_degrees()
-        assert is_q0_local(m) == (not bad)
+        for x in (m, a1core.dualize(m)):
+            bad = _checked_homology(x, "Q1").nonzero_degrees()
+            _checked_homology(x, "Q0")
+            assert is_q0_local(x) == (not bad)
         if m.truncated_below is not None:
             continue
-        bad = margolis_homology(structure.strip_free(m)[0], "Q1"
+        bad = _checked_homology(structure.strip_free(m)[0], "Q1"
                                 ).nonzero_degrees()
         if bad:
             with pytest.raises(NotQ0Local) as err:
@@ -112,6 +152,26 @@ def test_is_q0_local_by_ranks_matches_the_homology():
                for m in mods)
     assert any(m.truncated_above is not None and not is_q0_local(m)
                for m in mods)
+
+
+def test_margolis_homology_forms_representatives_only_where_there_is_homology(
+        monkeypatch):
+    # one kernel per degree with homology: seagull(6) has Q0-homology in
+    # degrees 0 and 25 only and no Q1-homology, among 24 degrees
+    calls = []
+    real = margolis.kernel
+    monkeypatch.setattr(margolis, "kernel", lambda a: calls.append(a) or real(a))
+
+    def kernels(m, op):
+        calls.clear()
+        margolis_homology(m, op)
+        return len(calls)
+
+    assert kernels(structure.seagull(6), "Q0") == 2
+    assert kernels(structure.seagull(6), "Q1") == 0
+    m = a1core.tensor(structure.seagull(3), structure.seagull(3))
+    assert kernels(m, "Q0") == 3  # degrees 0, 13 and 26
+    assert margolis_homology(m, "Q0").nonzero_degrees() == [0, 13, 26]
 
 
 def test_a0_decompose_counts():
@@ -134,6 +194,29 @@ def test_a0_decompose_trivial_classes_respect_the_floor():
     dec = a0_decompose(m)
     assert h.reliable == (-19, None) and h.nonzero_degrees() == [0]
     assert sorted({d for d, _ in dec.trivial}) == [0]
+
+
+def test_a0_decompose_is_a_basis_in_the_window():
+    # pair generators, their Sq1-images and the trivial classes
+    rng = random.Random(7)
+    checked = 0
+    for i in range(400):
+        m = random_module(rng)
+        m = a1core.dualize(m) if i % 2 else m
+        dec = a0_decompose(m)
+        vecs = {}
+        for k, b, sb in dec.pairs:
+            vecs.setdefault(k, []).append(b)
+            vecs.setdefault(k + 1, []).append(sb)
+        for k, r in dec.trivial:
+            vecs.setdefault(k, []).append(r)
+        window = margolis_homology(m, "Q0")
+        for k in m.space.degrees:
+            if window.in_range(k):
+                v = vecs.get(k, [])
+                assert len(v) == m.dim(k) == Subspace.span(v, m.dim(k)).dim
+                checked += 1
+    assert checked > 3000
 
 
 def test_unknown_operator_refused():
