@@ -11,10 +11,9 @@ from .a1core import (A1Module, direct_sum, dualize, f2, free_module, module,
 from .davismahowald import (d2, e1_page, e3_page, lift_check, localized_ext,
                             sq4_solver)
 from .errors import A1ModError
-from .margolis import a0_decompose, is_q0_local, margolis_homology
+from .margolis import is_q0_local, margolis_homology
 from .modfile import parse_module, serialize
 from .resolution import ext_dims, minimal_resolution
-from .structure import (classify, localize_q0, realize, seagull, seagull_inf,
-                        stably_equivalent, strip_free)
+from .structure import classify, localize_q0, seagull, seagull_inf, strip_free
 
 __version__ = "0.1.0"

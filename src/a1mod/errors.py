@@ -36,10 +36,6 @@ class NotStabilized(A1ModError):
         super().__init__(f"tower count at stem {stem} did not stabilize: {observed}")
 
 
-class IncomparableCutoffs(A1ModError):
-    """Descriptors with open-ended seagulls cannot be compared across cutoffs."""
-
-
 class TruncationTooTight(A1ModError):
     """A computation needs degrees beyond the module's truncation cutoff."""
 

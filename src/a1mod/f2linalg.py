@@ -164,8 +164,14 @@ def canonical(pivots: Dict[int, int]) -> List[int]:
     return [pivots[low] for low in keys]
 
 
-def rank(m: BitMatrix) -> int:
-    return Subspace.span(m.data, m.cols).dim
+def rank(rows: Iterable[int], width: int) -> int:
+    """The rank of the rows as vectors of F_2^width: the number of pivots
+    of one table, with no back-substitution."""
+    mask = (1 << width) - 1
+    pivots: Dict[int, int] = {}
+    for r in rows:
+        insert(pivots, r, mask)
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Homology with respect to the exterior operators Q0 = Sq1 and
-Q1 = Sq2 Sq1 + Sq1 Sq2 (degree 3), and the splitting of a module into
-free and trivial pieces over the subalgebra generated by Sq1.
+Q1 = Sq2 Sq1 + Sq1 Sq2 (degree 3).
 """
 
 from __future__ import annotations
@@ -9,12 +8,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .a1core import A1Module, _word_rows
-from .f2linalg import BitMatrix, Subspace, complement, image, insert, kernel
+from .f2linalg import BitMatrix, complement, image, kernel, rank
 
-__all__ = [
-    "MargolisResult", "A0Decomposition",
-    "margolis_homology", "is_q0_local", "a0_decompose",
-]
+__all__ = ["MargolisResult", "margolis_homology", "is_q0_local"]
 
 _SHIFT = {"Q0": 1, "Q1": 3}
 _SLACK = {"Q0": 1, "Q1": 5}  # degrees discarded below a truncation cutoff
@@ -37,16 +33,6 @@ class MargolisResult:
 
     def nonzero_degrees(self) -> List[int]:
         return sorted(k for k, r in self.reps.items() if r)
-
-
-@dataclass
-class A0Decomposition:
-    """Basis split over the subalgebra generated by Sq1: ``pairs`` are
-    (degree, b, Sq1 b) spanning free summands, ``trivial`` are
-    (degree, representative) classes with no Sq1 in or out."""
-
-    pairs: List[Tuple[int, int, int]]
-    trivial: List[Tuple[int, int]]
 
 
 def _op_rows(m: A1Module, op: str, k: int) -> Optional[Sequence[int]]:
@@ -74,8 +60,8 @@ def _homology_dims(m: A1Module, op: str) -> Iterator[Tuple[int, int]]:
     dim H_k = dim M_k - rank op_k - rank op_(k-shift).  In the window
     (k <= cutoff - slack) op op from k - shift reduces to zero by
     Sq1 Sq1 = 0 and Sq2 Sq2 = Sq1 Sq2 Sq1 on degrees that
-    ``a1core.validate`` checks.  Each rank is one pivot table over the rows
-    of ``_op_rows``, formed once; callers may stop at the first nonzero.
+    ``a1core.validate`` checks.  Each rank is one ``f2linalg.rank`` of the
+    rows of ``_op_rows``, formed once; callers may stop at the first nonzero.
     """
     shift = _SHIFT[op]
     lo, hi = _reliable_window(m, op)
@@ -83,10 +69,7 @@ def _homology_dims(m: A1Module, op: str) -> Iterator[Tuple[int, int]]:
 
     def rank_from(j: int) -> int:
         if j not in ranks:
-            pivots: Dict[int, int] = {}
-            for row in _op_rows(m, op, j) or ():
-                insert(pivots, row, (1 << m.dim(j)) - 1)
-            ranks[j] = len(pivots)
+            ranks[j] = rank(_op_rows(m, op, j) or (), m.dim(j))
         return ranks[j]
 
     for k in m.space.degrees:
@@ -121,22 +104,3 @@ def is_q0_local(m: A1Module) -> bool:
     """True when the Q1-homology vanishes across the reliable window, by
     ranks (``_homology_dims``), stopping at the first degree with any."""
     return not any(d for _, d in _homology_dims(m, "Q1"))
-
-
-def a0_decompose(m: A1Module) -> A0Decomposition:
-    """Split the underlying Sq1-module into free pairs and trivial classes.
-
-    In each degree, vectors completing ker(Sq1) to the whole degree span free
-    summands together with their Sq1-images; the Q0-homology representatives
-    of ``margolis_homology`` span trivial summands.  The listed vectors
-    jointly form a basis of every degree in the Q0 reliable window.
-    """
-    pairs: List[Tuple[int, int, int]] = []
-    hi = _reliable_window(m, "Q0")[1]
-    for k in m.space.degrees:
-        if hi is not None and k > hi:
-            continue
-        for b in complement(kernel(m.sq1.mat(k)), Subspace.full(m.dim(k))):
-            pairs.append((k, b, m.sq1.apply(k, b)))
-    reps = margolis_homology(m, "Q0").reps
-    return A0Decomposition(pairs, [(k, r) for k, rs in reps.items() for r in rs])

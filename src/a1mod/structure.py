@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, A1Module,
-                     _require_bottom, _word_rows, direct_sum, free_module,
-                     module, module_from_edges, tensor, truncate, zero_module)
-from .errors import IncomparableCutoffs, NotQ0Local, ShapeMismatch, TruncationTooTight
+                     _require_bottom, _word_rows, module, module_from_edges,
+                     tensor)
+from .errors import NotQ0Local, ShapeMismatch, TruncationTooTight
 from .f2linalg import (BitMatrix, Subspace, canonical, insert, kernel,
                        mul_rows, solve)
 from .margolis import _homology_dims
@@ -34,7 +34,7 @@ from .margolis import _homology_dims
 __all__ = [
     "SeagullEntry", "FlockDescriptor", "DecompositionReport",
     "seagull", "seagull_inf", "strip_free", "classify",
-    "localize_q0", "default_cutoff", "stably_equivalent", "realize",
+    "localize_q0", "default_cutoff",
 ]
 
 # A seagull is certain only while a further generator could still have been
@@ -385,42 +385,3 @@ def default_cutoff(m: A1Module) -> Optional[int]:
     hi = m.hi if m.truncated_above is None else m.truncated_above
     return max(hi, m.lo) + 18
 
-
-def stably_equivalent(a: A1Module, b: A1Module) -> bool:
-    """Same flock (free parts ignored).  Entries that are lower bounds are
-    only comparable at equal cutoffs."""
-    ra = classify(a)
-    rb = classify(b)
-    return _descriptors_stably_equal(ra.descriptor, rb.descriptor)
-
-
-def _descriptors_stably_equal(da: FlockDescriptor, db: FlockDescriptor) -> bool:
-    open_a = any(not e.exact for e in da.seagulls)
-    open_b = any(not e.exact for e in db.seagulls)
-    if (open_a or open_b) and da.cutoff != db.cutoff:
-        raise IncomparableCutoffs(
-            f"open-ended seagulls at different cutoffs: {da.cutoff} vs {db.cutoff}")
-    return da.seagulls == db.seagulls
-
-
-def realize(desc: FlockDescriptor) -> A1Module:
-    """A module with the given descriptor: sum of suspended seagulls and free
-    cells.  Entries that are lower bounds need a cutoff and become truncated
-    infinite seagulls."""
-    parts: List[A1Module] = []
-    for e in desc.seagulls:
-        if e.exact:
-            parts.append(seagull(e.length, e.shift))
-        else:
-            if desc.cutoff is None:
-                raise TruncationTooTight("open-ended seagull needs a cutoff")
-            parts.append(seagull_inf(desc.cutoff, e.shift))
-    for d, r in desc.free_ranks:
-        for _ in range(r):
-            parts.append(free_module(d))
-    out = zero_module()
-    for p in parts:
-        out = direct_sum(out, p) if out.space.degrees else p
-    if desc.cutoff is not None and out.space.degrees:
-        out = truncate(out, desc.cutoff)
-    return out

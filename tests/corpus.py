@@ -5,7 +5,9 @@ Each record is the canonical JSON of what a caller can see: descriptors,
 witnesses, residue degrees and logs, charts, verdicts and their evidence,
 the error class and text, and for the command line its exit code, standard
 output and error and the files it wrote.  Nothing internal is recorded, so a
-refactor that keeps every result leaves the golden file untouched.
+refactor that keeps every result leaves the golden file untouched.  The
+``a0_decompose`` family records a test-side route, ``routes.a0_decompose``,
+which left the library with its records unchanged.
 
 Regenerate after an intended output change with
 
@@ -28,6 +30,7 @@ from a1mod import (a1core, cli, davismahowald, margolis, modfile, resolution,
                    structure)
 import dm_complex
 from random_modules import random_automorphism, random_module
+import routes
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.txt"
 # draws of random_module(random.Random(3)); classify reaches its step-1
@@ -84,7 +87,7 @@ def _margolis(m: a1core.A1Module) -> Dict:
 
 
 def _a0(m: a1core.A1Module) -> Dict:
-    d = margolis.a0_decompose(m)
+    d = routes.a0_decompose(m)
     return {"pairs": d.pairs, "trivial": d.trivial}
 
 

@@ -15,7 +15,7 @@ def random_automorphism(rng, m):
         n = m.space.dim(k)
         while True:
             cand = BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
-            if rank(cand) == n:
+            if rank(cand.data, n) == n:
                 break
         mats[k] = cand
         invs[k] = BitMatrix.from_columns(n, [solve(cand, 1 << j)

@@ -82,7 +82,7 @@ def test_truncation_bounds_follow_transforms():
     m = suspend(dualize(structure.seagull_inf(20)), 3)
     assert (m.truncated_above, m.truncated_below) == (None, -17)
     q0 = margolis_homology(m, "Q0")
-    assert [k for k in q0.nonzero_degrees() if q0.in_range(k)] == [3]
+    assert q0.nonzero_degrees() == [3]
     assert truncate(m, 0).truncated_below == -17
     both = direct_sum(m, suspend(m, 2))
     assert (both.truncated_above, both.truncated_below) == (None, -15)
@@ -209,7 +209,7 @@ def test_tensor_cartan_symmetry():
     assert t1.space.degrees == t2.space.degrees
     swap = {k: _swap_matrix(t1, t2, k) for k in t1.space.degrees}
     for k, p in swap.items():
-        assert p.rows == p.cols == t1.dim(k) and rank(p) == p.rows
+        assert p.rows == p.cols == t1.dim(k) and rank(p.data, p.cols) == p.rows
         for step, g1, g2 in ((1, t1.sq1, t2.sq1), (2, t1.sq2, t2.sq2)):
             if k + step in swap:
                 assert swap[k + step].mul(g1.mat(k)) == g2.mat(k).mul(p)
@@ -295,7 +295,7 @@ def test_tensor_keeps_truncated_below():
     t = tensor(d, f2())
     assert (t.truncated_above, t.truncated_below) == (None, -20)
     q0 = margolis_homology(t, "Q0")
-    assert [k for k in q0.nonzero_degrees() if q0.in_range(k)] == [0]
+    assert q0.nonzero_degrees() == [0]
     assert tensor(f2(), d).truncated_below == -20
     # an empty factor keeps its bound: nothing above -1 of the first is known
     empty = truncate(structure.seagull(2), -1)
@@ -315,7 +315,7 @@ def test_tensor_truncated_below_kunneth():
     assert t.truncated_below == -15
     for op, want in (("Q0", [0, 5]), ("Q1", [])):
         h = margolis_homology(t, op)
-        assert [k for k in h.nonzero_degrees() if h.in_range(k)] == want
+        assert h.nonzero_degrees() == want
 
 
 def _tensor_factor(rng):

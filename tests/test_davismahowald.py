@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, davismahowald, f2linalg, modfile, structure
-from a1mod.a1core import apply_word, direct_sum, f2, suspend, tensor, validate
+from a1mod.a1core import direct_sum, f2, suspend, tensor, validate
 from a1mod.davismahowald import (build_N, build_dm_complex,
                                  check_dm_exactness, d2, e1_page, e3_page,
                                  lift_check, localized_ext,
@@ -16,6 +16,7 @@ from a1mod.f2linalg import BitMatrix, Subspace
 from a1mod.margolis import margolis_homology
 import dm_complex
 from random_modules import random_module
+from routes import assert_tensor_functional_symmetry
 from solver_reference import _word_matrix, linear_map_reference, sq4_reference
 
 
@@ -395,41 +396,7 @@ def test_tensor_functional_symmetry():
     rng = random.Random(3)
     a = structure.seagull(rng.randint(1, 2))
     b = suspend(structure.seagull(rng.randint(1, 2)), rng.randint(0, 3))
-    t = tensor(a, b)
-    for k in t.space.degrees:
-        n_t = t.space.dim(k)
-        boundary = Subspace.span(
-            [apply_word(t, "Sq1", k - 1, 1 << i)[1]
-             for i in range(t.space.dim(k - 1))] +
-            [apply_word(t, "Sq2", k - 2, 1 << i)[1]
-             for i in range(t.space.dim(k - 2))], n_t)
-        for ka in a.space.degrees:
-            kb = k - 5 - ka
-            if not (a.space.dim(ka) and b.space.dim(kb)):
-                continue
-            for i in range(a.space.dim(ka)):
-                for j in range(b.space.dim(kb)):
-                    la = a.space.labels[ka][i]
-                    lb = b.space.labels[kb][j]
-                    _, wa = apply_word(a, "Sq2Sq1Sq2", ka, 1 << i)
-                    _, wb = apply_word(b, "Sq2Sq1Sq2", kb, 1 << j)
-                    lhs = _embed(t, a, b, ka + 5, wa, kb, 1 << j)
-                    rhs = _embed(t, a, b, ka, 1 << i, kb + 5, wb)
-                    assert boundary.contains(lhs ^ rhs)
-
-
-def _embed(t, a, b, ka, va, kb, vb):
-    out = 0
-    k = ka + kb
-    for i in range(a.space.dim(ka)):
-        if not (va >> i) & 1:
-            continue
-        for j in range(b.space.dim(kb)):
-            if not (vb >> j) & 1:
-                continue
-            lbl = f"{a.space.labels[ka][i]}(x){b.space.labels[kb][j]}"
-            out ^= 1 << t.space.labels[k].index(lbl)
-    return out
+    assert_tensor_functional_symmetry(a, b)
 
 
 def test_negative_polynomial_degree_refused():

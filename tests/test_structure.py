@@ -10,13 +10,13 @@ from a1mod import a1core, davismahowald, f2linalg, margolis, structure
 from a1mod.a1core import (DUAL_WORD, TOP_WORD, WORD_DEGREE, WORDS, _word_rows,
                           apply_word, direct_sum, dualize, free_module, suspend,
                           tensor, truncate)
-from a1mod.errors import (A1ModError, IncomparableCutoffs, NotQ0Local,
-                          TruncationTooTight)
-from a1mod.f2linalg import BitMatrix, Subspace, kernel, rank
+from a1mod.errors import A1ModError, NotQ0Local, TruncationTooTight
+from a1mod.f2linalg import BitMatrix, Subspace, rank
 from a1mod.structure import (FlockDescriptor, SeagullEntry, classify,
-                             localize_q0, realize, seagull, seagull_inf,
-                             stably_equivalent, strip_free)
+                             localize_q0, seagull, seagull_inf, strip_free)
 from random_modules import random_automorphism, random_module
+from routes import (IncomparableCutoffs, _descriptors_stably_equal,
+                    assert_wing_image_lemma, realize, stably_equivalent)
 from solver_reference import (_word_matrix, classify_reference,
                               free_cells_reference, strip_free_reference)
 
@@ -198,7 +198,8 @@ def test_strip_free():
 
 
 def _top_rank(m, k):
-    return rank(_word_matrix(m, TOP_WORD, k))
+    mat = _word_matrix(m, TOP_WORD, k)
+    return rank(mat.data, mat.cols)
 
 
 def test_word_matrix_matches_apply_word():
@@ -358,7 +359,7 @@ def test_classify_tensor_of_seagulls():
 def test_localize_seagulls_stable():
     for n in range(1, 4):
         assert stably_equivalent(
-            structure.realize(localize_q0(seagull(n)).descriptor), seagull(n))
+            realize(localize_q0(seagull(n)).descriptor), seagull(n))
 
 
 def test_localize_free_is_empty():
@@ -395,7 +396,7 @@ def test_stably_equivalent_ignores_free():
 
 def test_incomparable_cutoffs():
     with pytest.raises(IncomparableCutoffs):
-        structure._descriptors_stably_equal(
+        _descriptors_stably_equal(
             FlockDescriptor.make([SeagullEntry(0, 3, False)], cutoff=12),
             FlockDescriptor.make([SeagullEntry(0, 4, False)], cutoff=18))
 
@@ -407,20 +408,7 @@ def test_flock_wing_image_lemma(seed):
     # shifted seagulls; free summands genuinely violate this)
     rng = random.Random(seed)
     desc = _random_descriptor(rng)
-    m = realize(FlockDescriptor.make(desc.seagulls))
-    for k in m.space.degrees:
-        n = m.space.dim(k)
-        sq2_in = Subspace.span(
-            [a1core.apply_word(m, "Sq2", k - 2, 1 << i)[1]
-             for i in range(m.space.dim(k - 2))], n)
-        ker_sq1 = kernel(m.sq1.mat(k))
-        rhs = Subspace.span(
-            [a1core.apply_word(m, "Sq2Sq1Sq2", k - 5, 1 << i)[1]
-             for i in range(m.space.dim(k - 5))], n)
-        # rhs lies in both and has the dimension of their intersection
-        assert all(sq2_in.contains(v) and ker_sq1.contains(v)
-                   for v in rhs.basis)
-        assert rhs.dim == sq2_in.dim + ker_sq1.dim - sq2_in.add(ker_sq1).dim
+    assert_wing_image_lemma(realize(FlockDescriptor.make(desc.seagulls)))
 
 
 @given(st.integers(0, 10**6))
