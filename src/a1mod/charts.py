@@ -124,7 +124,7 @@ def page_ascii(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def page_svg(classes: Sequence[Class], arrows: Sequence[Arrow] = ()) -> str:
+def page_svg(classes: Sequence[Class], arrows: Sequence[Arrow]) -> str:
     """The page as SVG, on the stem axis of ``page_ascii``."""
     cell, pad = 40, 30
     stems = _stem_axis(c[0] for c in classes)

@@ -12,8 +12,9 @@ from typing import Dict, List, Optional, Tuple
 from .a1core import (A1Module, GradedMap, _word_rows, apply_word, dualize,
                      f2, linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
-from .f2linalg import BitMatrix, image, kernel, rank, solve
-from .margolis import is_q0_local, margolis_homology
+from .f2linalg import BitMatrix, image, rank, solve
+from .margolis import (_homology_dims, _reliable_window, _representatives,
+                       is_q0_local)
 from .structure import default_cutoff, localize_q0, seagull
 
 __all__ = [
@@ -181,18 +182,10 @@ class LocalizedE1:
 @dataclass
 class D2Data:
     classes: List[Tuple[int, str]]
-    mats: Dict[int, BitMatrix]                # dual degree -> matrix into degree+5
-
-    @property
-    def pairs(self) -> List[Tuple[str, str]]:
-        """The nonzero pairings (source, target), sorted."""
-        return sorted((_class_label(k, c), _class_label(k + 5, r))
-                      for k, mat in self.mats.items()
-                      for r, row in enumerate(mat.data)
-                      for c in range(mat.cols) if row >> c & 1)
+    pairs: List[Tuple[str, str]]              # nonzero (source, target), sorted
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats.values())
+        return not self.pairs
 
 
 @dataclass
@@ -208,61 +201,81 @@ def _class_label(k: int, i: int) -> str:
     return f"d{-k}.{i}*"
 
 
-def _dual_homology(dual: A1Module):
-    """Q0-homology of an already dualized module, with class labels."""
-    h = margolis_homology(dual, "Q0")
-    return h, [(k, _class_label(k, i))
-               for k in sorted(h.reps) for i in range(len(h.reps[k]))]
+def _dual_classes(m: A1Module) -> Tuple[Dict[int, int], List[Tuple[int, str]]]:
+    """dim H(DM; Q0) per dual degree of its reliable window, ascending, and
+    the class labels.  The dual's Sq1 is the transpose of m's, so
+    H(DM; Q0)_(-k) has the dimension of H(M; Q0)_k: m's own ranks give it."""
+    dims = dict(sorted((-k, d) for k, d in _homology_dims(m, "Q0")))
+    return dims, [(k, _class_label(k, i))
+                  for k, d in dims.items() for i in range(d)]
+
+
+def _wing_rank(m: A1Module, k: int) -> int:
+    """The rank of W = Sq2Sq1Sq2 on H(M; Q0) from degree k to k + 5.
+
+    T(z, y) = (Sq1 z, W z + Sq1 y) on M_k + M_(k+4) has a kernel that
+    projects onto the cycles z with W z a boundary, each fibre a coset of
+    the cycles of degree k + 4.  Those z fall short of the cycles of
+    degree k by rank W, so rank W = rank T - rank Sq1_k - rank Sq1_(k+4).
+    """
+    wing = _word_rows(m, "Sq2Sq1Sq2", k)
+    if wing is None:  # W is zero from degree k
+        return 0
+    n, n4 = m.dim(k), m.dim(k + 4)
+    low = _word_rows(m, "Sq1", k) or ()
+    up = _word_rows(m, "Sq1", k + 4) or ()
+    top = [w ^ u << n for w, u in zip(wing, up)] if up else wing
+    return rank([*low, *top], n + n4) - rank(low, n) - rank(up, n4)
 
 
 def e1_page(m: A1Module, max_sigma: int) -> LocalizedE1:
-    h, classes = _dual_homology(dualize(m))
+    _, classes = _dual_classes(m)
+    lo, hi = _reliable_window(m, "Q0")
     records: List[Tuple[int, int, str]] = []
     for sigma in range(0, max_sigma + 1, 2):
         for (delta, label) in classes:
             records.append((sigma, 2 * sigma - delta, label))
-    return LocalizedE1(classes, records, h.reliable)
+    return LocalizedE1(classes, records, (None if hi is None else -hi,
+                                          None if lo is None else -lo))
 
 
 def d2(m: A1Module) -> D2Data:
     """The closed-form first differential: right multiplication by Sq2Sq1Sq2
-    on dual Q0-homology, dropping one stem and raising filtration by two."""
+    on dual Q0-homology, dropping one stem and raising filtration by two.
+    Representatives are formed only where a class meets a target."""
+    dims, classes = _dual_classes(m)
     dual = dualize(m)
-    h, classes = _dual_homology(dual)
-    mats: Dict[int, BitMatrix] = {}
-    for delta in sorted(h.reps):
-        src_reps = h.reps[delta]
+    pairs: List[Tuple[str, str]] = []
+    for delta, d in dims.items():
         tgt_delta = delta + 5
-        tgt_reps = h.reps.get(tgt_delta, [])
-        rows = len(tgt_reps)
-        cols_out = [0] * len(src_reps)
-        if rows:
-            im = image(dual.sq1.mat(tgt_delta - 1))
-            mat = BitMatrix.from_columns(dual.dim(tgt_delta),
-                                         list(tgt_reps) + list(im.basis))
-            for ci, rep in enumerate(src_reps):
-                _, img = apply_word(dual, "Sq2Sq1Sq2", delta, rep)
-                if img == 0:
-                    continue
-                x = solve(mat, img)
-                if x is None:
-                    raise ShapeMismatch("differential image is not a cycle")
-                cols_out[ci] = x & ((1 << rows) - 1)
-        mats[delta] = BitMatrix.from_columns(rows, cols_out)
-    return D2Data(classes, mats)
+        if not d or not dims.get(tgt_delta):
+            continue
+        tgt_reps = _representatives(dual, "Q0", tgt_delta)
+        im = image(dual.sq1.mat(tgt_delta - 1))
+        mat = BitMatrix.from_columns(dual.dim(tgt_delta),
+                                     tgt_reps + list(im.basis))
+        for c, rep in enumerate(_representatives(dual, "Q0", delta)):
+            _, img = apply_word(dual, "Sq2Sq1Sq2", delta, rep)
+            if img == 0:
+                continue
+            x = solve(mat, img)
+            if x is None:
+                raise ShapeMismatch("differential image is not a cycle")
+            pairs += [(_class_label(delta, c), _class_label(tgt_delta, r))
+                      for r in range(len(tgt_reps)) if x >> r & 1]
+    return D2Data(classes, sorted(pairs))
 
 
 def e3_page(m: A1Module) -> E3Page:
-    data = d2(m)
-    first: List[Tuple[int, int]] = []
-    generic: List[Tuple[int, int]] = []
-    for delta, mat in sorted(data.mats.items()):  # dual Q0-homology degrees
-        ker_dim = mat.cols - rank(mat.data, mat.cols)
-        src = data.mats.get(delta - 5)  # maps classes at delta-5 into delta
-        im_dim = rank(src.data, src.cols) if src is not None else 0
-        first.append((-delta, ker_dim))
-        generic.append((delta, ker_dim - im_dim))
-    return E3Page(first, generic)
+    """Kernel and image dimensions of d2 per dual degree, by ranks: d2 out
+    of dual degree delta is the transpose of W on H(M; Q0) from -delta - 5
+    to -delta (``_wing_rank``)."""
+    dims, _ = _dual_classes(m)
+    out = {delta: _wing_rank(m, -delta - 5) if d and dims.get(delta + 5)
+           else 0 for delta, d in dims.items()}
+    return E3Page([(-delta, d - out[delta]) for delta, d in dims.items()],
+                  [(delta, d - out[delta] - out.get(delta - 5, 0))
+                   for delta, d in dims.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +292,7 @@ class LocalizedExt:
         return sorted(k for k, v in self.stems.items() if v)
 
 
-def seagull_localized_ext(n: int, shift: int = 0) -> List[int]:
+def seagull_localized_ext(n: int, shift: int) -> List[int]:
     """Stems carrying h0-towers for a length-n seagull."""
     return [shift + 4 * k for k in range(n)]
 
@@ -312,8 +325,7 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     localized spectral sequence collapses onto it?  Detectors in order:
     a nonzero closed-form differential, a finite seagull in the localized
     flock, an all-open flock for a local module, then the degree-4 operator
-    obstruction, which only a truncated module can meet: otherwise the
-    operator exists once the differential vanishes."""
+    obstruction (``sq4_solver``)."""
     evidence: List[str] = []
     data = d2(m)
     if not data.is_zero():
@@ -331,12 +343,7 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     if is_q0_local(m):
         evidence.append("module is Q0-local with an open flock")
         return LiftVerdict("lifts", evidence)
-    # without truncation the operator exists exactly when d2 vanishes, as
-    # it has here (W is zero on Q0-homology exactly when right
-    # multiplication by W, which is d2, is zero on the dual's), so only a
-    # truncated module needs the solver
-    truncated = m.truncated_above is not None or m.truncated_below is not None
-    if truncated and not sq4_solver(m):
+    if not sq4_solver(m):
         evidence.append("no degree-4 operator satisfies the commutator equation")
         return LiftVerdict("no_lift", evidence)
     evidence.append("degree-4 operator exists; no obstruction found")
@@ -358,15 +365,5 @@ def sq4_solver(m: A1Module) -> bool:
     cycles of degree k into the boundaries of degree k + 5.
     """
     cut = m.truncated_above
-    for k in m.space.degrees:
-        if cut is not None and k + 5 > cut:
-            continue
-        rows = _word_rows(m, "Sq2Sq1Sq2", k)
-        if rows is None:  # W is zero from degree k
-            continue
-        wing = BitMatrix(len(rows), m.dim(k), tuple(rows))
-        bounds = image(m.sq1.mat(k + 4))
-        if not all(bounds.contains(wing.apply(z))
-                   for z in kernel(m.sq1.mat(k)).basis):
-            return False
-    return True
+    return all(_wing_rank(m, k) == 0 for k in m.space.degrees
+               if cut is None or k + 5 <= cut)

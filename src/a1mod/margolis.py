@@ -19,20 +19,15 @@ _SLACK = {"Q0": 1, "Q1": 5}  # degrees discarded below a truncation cutoff
 @dataclass
 class MargolisResult:
     op: str                              # "Q0" or "Q1"
-    reps: Dict[int, List[int]]           # cycle representatives per degree
+    dims: Dict[int, int]                 # homology dimension per window degree
     reliable: Tuple[Optional[int], Optional[int]]  # inclusive degree window
-
-    @property
-    def dims(self) -> Dict[int, int]:
-        """Homology dimension per degree."""
-        return {k: len(r) for k, r in self.reps.items()}
 
     def in_range(self, k: int) -> bool:
         lo, hi = self.reliable
         return (lo is None or k >= lo) and (hi is None or k <= hi)
 
     def nonzero_degrees(self) -> List[int]:
-        return sorted(k for k, r in self.reps.items() if r)
+        return sorted(k for k, d in self.dims.items() if d)
 
 
 def _op_rows(m: A1Module, op: str, k: int) -> Optional[Sequence[int]]:
@@ -77,27 +72,29 @@ def _homology_dims(m: A1Module, op: str) -> Iterator[Tuple[int, int]]:
             yield k, m.dim(k) - rank_from(k) - rank_from(k - shift)
 
 
-def margolis_homology(m: A1Module, op: str = "Q0") -> MargolisResult:
+def _representatives(m: A1Module, op: str, k: int) -> List[int]:
+    """A basis of ker op_k modulo im op_(k-shift): cycle representatives of
+    H(M; op)_k, for the callers that name classes (``davismahowald.d2``)."""
+    shift = _SHIFT[op]
+
+    def matrix(j: int) -> BitMatrix:
+        rows = _op_rows(m, op, j) or (0,) * m.dim(j + shift)
+        return BitMatrix(m.dim(j + shift), m.dim(j), tuple(rows))
+
+    return complement(image(matrix(k - shift)), kernel(matrix(k)))
+
+
+def margolis_homology(m: A1Module, op: str) -> MargolisResult:
     """Homology of Q0 or Q1 in each degree of the reliable window.
 
-    The dimensions come from the rank pass ``_homology_dims``; only a
-    degree with homology gets representatives, a basis of ker op_k modulo
-    im op_(k-shift), and every other degree an empty list.  For the dual
-    side pass ``a1core.dualize(m)``; its dimensions agree with those of m
-    at negated degrees.
+    The dimensions come from the rank pass ``_homology_dims``; no basis is
+    formed.  For the dual side pass ``a1core.dualize(m)``; its dimensions
+    agree with those of m at negated degrees.
     """
     if op not in _SHIFT:
         raise ValueError(f"unknown operator {op!r}")
-    shift = _SHIFT[op]
-
-    def matrix(k: int) -> BitMatrix:
-        rows = _op_rows(m, op, k) or (0,) * m.dim(k + shift)
-        return BitMatrix(m.dim(k + shift), m.dim(k), tuple(rows))
-
-    reps: Dict[int, List[int]] = {
-        k: complement(image(matrix(k - shift)), kernel(matrix(k))) if d else []
-        for k, d in _homology_dims(m, op)}
-    return MargolisResult(op, reps, _reliable_window(m, op))
+    return MargolisResult(op, dict(_homology_dims(m, op)),
+                          _reliable_window(m, op))
 
 
 def is_q0_local(m: A1Module) -> bool:

@@ -52,8 +52,8 @@ class ExtChart:
         return self.dims.get((s, t), 0)
 
 
-def minimal_resolution(m: A1Module, algebra: str = "a1",
-                       max_s: int = 10, max_t: int = 20) -> List[ResolutionStage]:
+def minimal_resolution(m: A1Module, algebra: str,
+                       max_s: int, max_t: int) -> List[ResolutionStage]:
     """Minimal resolution by free modules, reliable for internal degrees up
     to ``max_t``.  Generator counts give the dimensions of Ext groups.
 
@@ -170,8 +170,7 @@ def minimal_resolution(m: A1Module, algebra: str = "a1",
     return stages
 
 
-def ext_dims(m: A1Module, algebra: str = "a1",
-             max_s: int = 10, max_t: int = 20) -> ExtChart:
+def ext_dims(m: A1Module, algebra: str, max_s: int, max_t: int) -> ExtChart:
     """Bigraded dimension chart: entry (s, t) counts stage-s generators in
     internal degree t."""
     stages = minimal_resolution(m, algebra, max_s, max_t)

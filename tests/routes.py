@@ -11,7 +11,8 @@ from a1mod.a1core import (A1Module, apply_word, direct_sum, free_module,
                           tensor, truncate, zero_module)
 from a1mod.errors import A1ModError, TruncationTooTight
 from a1mod.f2linalg import Subspace, complement, kernel
-from a1mod.margolis import _reliable_window, margolis_homology
+from a1mod.margolis import (_reliable_window, _representatives,
+                            margolis_homology)
 from a1mod.structure import FlockDescriptor, classify, seagull, seagull_inf
 
 
@@ -34,7 +35,7 @@ def a0_decompose(m: A1Module) -> A0Decomposition:
 
     In each degree, vectors completing ker(Sq1) to the whole degree span free
     summands together with their Sq1-images; the Q0-homology representatives
-    of ``margolis_homology`` span trivial summands.  The listed vectors
+    (``margolis._representatives``) span trivial summands.  The listed vectors
     jointly form a basis of every degree in the Q0 reliable window.
     """
     pairs: List[Tuple[int, int, int]] = []
@@ -44,8 +45,9 @@ def a0_decompose(m: A1Module) -> A0Decomposition:
             continue
         for b in complement(kernel(m.sq1.mat(k)), Subspace.full(m.dim(k))):
             pairs.append((k, b, m.sq1.apply(k, b)))
-    reps = margolis_homology(m, "Q0").reps
-    return A0Decomposition(pairs, [(k, r) for k, rs in reps.items() for r in rs])
+    dims = margolis_homology(m, "Q0").dims
+    return A0Decomposition(pairs, [(k, r) for k, d in dims.items() if d
+                                   for r in _representatives(m, "Q0", k)])
 
 
 def stably_equivalent(a: A1Module, b: A1Module) -> bool:

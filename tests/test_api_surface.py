@@ -12,6 +12,7 @@ import ast
 import functools
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import a1mod
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(a1mod.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+PYPROJECT = ROOT / "pyproject.toml"
 FOLDERS = ("src", "tests", "perfbench", "demos")
 
 
@@ -196,3 +198,19 @@ def test_every_default_parameter_is_passed():
                 for name, qual, param, index in _defaulted(tree)
                 if not any(_passes(c, param, index) for c in calls.get(name, ()))]
     assert unpassed == []
+
+
+def _toml_table(text, name):
+    # read with a regex: Python 3.10 has no tomllib
+    body = re.search(rf"^\[{re.escape(name)}\]\n(.*?)(?=^\[|\Z)", text,
+                     re.M | re.S).group(1)
+    return dict(re.findall(r'^([\w-]+) = "([^"]*)"$', body, re.M))
+
+
+def test_pyproject_matches_the_package():
+    # the version every CLI record prints, and the console script
+    text = PYPROJECT.read_text()
+    assert _toml_table(text, "project")["version"] == a1mod.__version__
+    assert _toml_table(text, "project.scripts") == {"a1mod": "a1mod.cli:main"}
+    modname, attr = "a1mod.cli:main".split(":")
+    assert callable(getattr(importlib.import_module(modname), attr))

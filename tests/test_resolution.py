@@ -32,7 +32,7 @@ def test_change_of_rings():
 
 
 def test_free_module_resolution_stops():
-    chart = ext_dims(a1core.free_module(), max_s=5, max_t=12)
+    chart = ext_dims(a1core.free_module(), "a1", max_s=5, max_t=12)
     got = {k: d for k, d in chart.dims.items() if d}
     assert got == {(0, 0): 1}
 
@@ -78,7 +78,7 @@ def test_minimal_resolution_is_complex():
 def test_truncated_input_rejected():
     m = structure.seagull_inf(10)
     with pytest.raises(TruncationTooTight):
-        minimal_resolution(m, max_s=4, max_t=20)
+        minimal_resolution(m, "a1", max_s=4, max_t=20)
 
 
 def test_floor_rejected():
@@ -249,4 +249,4 @@ def test_deep_a0_resolution_of_f2_is_one_generator_per_stage():
 
 def test_unknown_algebra_refused():
     with pytest.raises(ValueError, match="unknown algebra 'a2'"):
-        minimal_resolution(a1core.f2(), "a2")
+        minimal_resolution(a1core.f2(), "a2", 10, 20)
