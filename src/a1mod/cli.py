@@ -130,8 +130,8 @@ def _cmd_info(args, m):
 
 def _cmd_margolis(args, m):
     side = "dual" if args.dual else "module"
-    res = margolis.margolis_homology(a1core.dualize(m) if args.dual else m,
-                                     args.operator.upper())
+    res = margolis.margolis_homology(m, args.operator.upper())
+    res = res.dual() if args.dual else res
     payload = {
         "operator": res.op,
         "side": side,

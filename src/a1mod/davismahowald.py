@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (A1Module, GradedMap, _word_rows, apply_word, dualize,
-                     f2, linear_map_from_generators, module_from_edges, tensor)
+from .a1core import (A1Module, GradedMap, _word_rows, apply_word, f2,
+                     linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
-from .f2linalg import BitMatrix, image, rank, solve
-from .margolis import (_homology_dims, _reliable_window, _representatives,
-                       is_q0_local)
+from .f2linalg import (BitMatrix, Subspace, complement, kernel, mul_rows, rank,
+                       solve)
+from .margolis import MargolisResult, is_q0_local, margolis_homology
 from .structure import default_cutoff, localize_q0, seagull
 
 __all__ = [
@@ -201,15 +201,6 @@ def _class_label(k: int, i: int) -> str:
     return f"d{-k}.{i}*"
 
 
-def _dual_classes(m: A1Module) -> Tuple[Dict[int, int], List[Tuple[int, str]]]:
-    """dim H(DM; Q0) per dual degree of its reliable window, ascending, and
-    the class labels.  The dual's Sq1 is the transpose of m's, so
-    H(DM; Q0)_(-k) has the dimension of H(M; Q0)_k: m's own ranks give it."""
-    dims = dict(sorted((-k, d) for k, d in _homology_dims(m, "Q0")))
-    return dims, [(k, _class_label(k, i))
-                  for k, d in dims.items() for i in range(d)]
-
-
 def _wing_rank(m: A1Module, k: int) -> int:
     """The rank of W = Sq2Sq1Sq2 on H(M; Q0) from degree k to k + 5.
 
@@ -228,54 +219,65 @@ def _wing_rank(m: A1Module, k: int) -> int:
     return rank([*low, *top], n + n4) - rank(low, n) - rank(up, n4)
 
 
+def _dual_classes(m: A1Module) -> Tuple[MargolisResult, List[Tuple[int, str]],
+                                        Dict[int, int]]:
+    """H(DM; Q0) by transposition (``MargolisResult.dual``), its class labels
+    and the rank of d2 out of each dual degree delta: the transpose of W on
+    H(M; Q0) from -delta - 5 to -delta (``_wing_rank``)."""
+    h = margolis_homology(m, "Q0").dual()
+    out = {delta: _wing_rank(m, -delta - 5) if d and h.dims.get(delta + 5)
+           else 0 for delta, d in h.dims.items()}
+    return h, [(k, _class_label(k, i))
+               for k, d in h.dims.items() for i in range(d)], out
+
+
+def _dual_reps(m: A1Module, k: int) -> List[int]:
+    """Representatives of H(DM; Q0)_(-k) as functionals on M_k: the dual's
+    boundaries are the row space of Sq1 from k and its cycles the kernel of
+    the transposed Sq1 from k - 1, the canonical subspaces ``dualize`` has."""
+    return complement(Subspace.span(m.sq1.mat(k).data, m.dim(k)),
+                      kernel(m.sq1.mat(k - 1).transpose()))
+
+
 def e1_page(m: A1Module, max_sigma: int) -> LocalizedE1:
-    _, classes = _dual_classes(m)
-    lo, hi = _reliable_window(m, "Q0")
+    h, classes, _ = _dual_classes(m)
     records: List[Tuple[int, int, str]] = []
     for sigma in range(0, max_sigma + 1, 2):
         for (delta, label) in classes:
             records.append((sigma, 2 * sigma - delta, label))
-    return LocalizedE1(classes, records, (None if hi is None else -hi,
-                                          None if lo is None else -lo))
+    return LocalizedE1(classes, records, h.reliable)
 
 
 def d2(m: A1Module) -> D2Data:
-    """The closed-form first differential: right multiplication by Sq2Sq1Sq2
-    on dual Q0-homology, dropping one stem and raising filtration by two.
-    Representatives are formed only where a class meets a target."""
-    dims, classes = _dual_classes(m)
-    dual = dualize(m)
+    """The closed-form first differential: right multiplication by
+    W = Sq2Sq1Sq2 on dual Q0-homology, dropping one stem and raising
+    filtration by two.  A dual class is a functional phi on M_(-delta)
+    (``_dual_reps``) and phi W is phi times the rows of W from -delta - 5;
+    only the dual degrees where d2 has nonzero rank are visited."""
+    _, classes, out = _dual_classes(m)
     pairs: List[Tuple[str, str]] = []
-    for delta, d in dims.items():
-        tgt_delta = delta + 5
-        if not d or not dims.get(tgt_delta):
-            continue
-        tgt_reps = _representatives(dual, "Q0", tgt_delta)
-        im = image(dual.sq1.mat(tgt_delta - 1))
-        mat = BitMatrix.from_columns(dual.dim(tgt_delta),
-                                     tgt_reps + list(im.basis))
-        for c, rep in enumerate(_representatives(dual, "Q0", delta)):
-            _, img = apply_word(dual, "Sq2Sq1Sq2", delta, rep)
-            if img == 0:
-                continue
-            x = solve(mat, img)
+    for delta in [delta for delta, r in out.items() if r]:
+        k = -delta - 5  # the target's degree in m
+        wing = _word_rows(m, "Sq2Sq1Sq2", k)
+        tgt_reps = _dual_reps(m, k)
+        bounds = Subspace.span(m.sq1.mat(k).data, m.dim(k)).basis
+        mat = BitMatrix.from_columns(m.dim(k), tgt_reps + list(bounds))
+        for c, phi in enumerate(_dual_reps(m, -delta)):
+            x = solve(mat, mul_rows([phi], wing)[0])
             if x is None:
                 raise ShapeMismatch("differential image is not a cycle")
-            pairs += [(_class_label(delta, c), _class_label(tgt_delta, r))
-                      for r in range(len(tgt_reps)) if x >> r & 1]
+            pairs += [(_class_label(delta, c), _class_label(delta + 5, t))
+                      for t in range(len(tgt_reps)) if x >> t & 1]
     return D2Data(classes, sorted(pairs))
 
 
 def e3_page(m: A1Module) -> E3Page:
-    """Kernel and image dimensions of d2 per dual degree, by ranks: d2 out
-    of dual degree delta is the transpose of W on H(M; Q0) from -delta - 5
-    to -delta (``_wing_rank``)."""
-    dims, _ = _dual_classes(m)
-    out = {delta: _wing_rank(m, -delta - 5) if d and dims.get(delta + 5)
-           else 0 for delta, d in dims.items()}
-    return E3Page([(-delta, d - out[delta]) for delta, d in dims.items()],
+    """Kernel and image dimensions of d2 per dual degree, from the ranks of
+    ``_dual_classes``."""
+    h, _, out = _dual_classes(m)
+    return E3Page([(-delta, d - out[delta]) for delta, d in h.dims.items()],
                   [(delta, d - out[delta] - out.get(delta - 5, 0))
-                   for delta, d in dims.items()])
+                   for delta, d in h.dims.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +327,11 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     localized spectral sequence collapses onto it?  Detectors in order:
     a nonzero closed-form differential, a finite seagull in the localized
     flock, an all-open flock for a local module, then the degree-4 operator
-    obstruction (``sq4_solver``)."""
+    obstruction (``sq4_solver``).  The differential is tested by its ranks
+    (``_wing_rank``) and named by ``d2`` only when it is nonzero."""
     evidence: List[str] = []
-    data = d2(m)
-    if not data.is_zero():
-        src, tgt = data.pairs[0]
+    if any(_dual_classes(m)[2].values()):
+        src, tgt = d2(m).pairs[0]
         evidence.append(f"nonzero differential: {src} -> {tgt}")
         return LiftVerdict("no_lift", evidence)
     evidence.append("closed-form differential vanishes")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .a1core import A1Module, _word_rows
-from .f2linalg import BitMatrix, complement, image, kernel, rank
+from .f2linalg import rank
 
 __all__ = ["MargolisResult", "margolis_homology", "is_q0_local"]
 
@@ -28,6 +28,16 @@ class MargolisResult:
 
     def nonzero_degrees(self) -> List[int]:
         return sorted(k for k, d in self.dims.items() if d)
+
+    def dual(self) -> "MargolisResult":
+        """The homology of the dual module, read by transposition: Q_i on
+        the dual is the transpose of Q_i on M, so H(DM; Q_i)_(-k) has the
+        dimension of H(M; Q_i)_k.  Degrees ascend; the window is negated."""
+        lo, hi = self.reliable
+        return MargolisResult(self.op,
+                              dict(sorted((-k, d) for k, d in self.dims.items())),
+                              (None if hi is None else -hi,
+                               None if lo is None else -lo))
 
 
 def _op_rows(m: A1Module, op: str, k: int) -> Optional[Sequence[int]]:
@@ -72,24 +82,12 @@ def _homology_dims(m: A1Module, op: str) -> Iterator[Tuple[int, int]]:
             yield k, m.dim(k) - rank_from(k) - rank_from(k - shift)
 
 
-def _representatives(m: A1Module, op: str, k: int) -> List[int]:
-    """A basis of ker op_k modulo im op_(k-shift): cycle representatives of
-    H(M; op)_k, for the callers that name classes (``davismahowald.d2``)."""
-    shift = _SHIFT[op]
-
-    def matrix(j: int) -> BitMatrix:
-        rows = _op_rows(m, op, j) or (0,) * m.dim(j + shift)
-        return BitMatrix(m.dim(j + shift), m.dim(j), tuple(rows))
-
-    return complement(image(matrix(k - shift)), kernel(matrix(k)))
-
-
 def margolis_homology(m: A1Module, op: str) -> MargolisResult:
     """Homology of Q0 or Q1 in each degree of the reliable window.
 
     The dimensions come from the rank pass ``_homology_dims``; no basis is
-    formed.  For the dual side pass ``a1core.dualize(m)``; its dimensions
-    agree with those of m at negated degrees.
+    formed.  The dual side is ``margolis_homology(m, op).dual()``, with no
+    dual module built.
     """
     if op not in _SHIFT:
         raise ValueError(f"unknown operator {op!r}")

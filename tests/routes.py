@@ -1,17 +1,21 @@
 """Routes that only the tests walk: building a module back from a flock
 descriptor (``classify ∘ realize = id``), comparing flocks, splitting a
-module over the subalgebra generated by Sq1, and the structural lemmas the
-classification relies on, written once for every test that checks them.
+module over the subalgebra generated by Sq1, Margolis-homology
+representatives, the first differential read off the dual module, and the
+structural lemmas the classification relies on, written once for every test
+that checks them.
 """
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from a1mod.a1core import (A1Module, apply_word, direct_sum, free_module,
-                          tensor, truncate, zero_module)
+from a1mod.a1core import (A1Module, apply_word, direct_sum, dualize,
+                          free_module, tensor, truncate, zero_module)
+from a1mod.davismahowald import D2Data
 from a1mod.errors import A1ModError, TruncationTooTight
-from a1mod.f2linalg import Subspace, complement, kernel
-from a1mod.margolis import (_reliable_window, _representatives,
+from a1mod.f2linalg import (BitMatrix, Subspace, complement, image, kernel,
+                            solve)
+from a1mod.margolis import (_SHIFT, _op_rows, _reliable_window,
                             margolis_homology)
 from a1mod.structure import FlockDescriptor, classify, seagull, seagull_inf
 
@@ -35,7 +39,7 @@ def a0_decompose(m: A1Module) -> A0Decomposition:
 
     In each degree, vectors completing ker(Sq1) to the whole degree span free
     summands together with their Sq1-images; the Q0-homology representatives
-    (``margolis._representatives``) span trivial summands.  The listed vectors
+    (``representatives``) span trivial summands.  The listed vectors
     jointly form a basis of every degree in the Q0 reliable window.
     """
     pairs: List[Tuple[int, int, int]] = []
@@ -47,7 +51,45 @@ def a0_decompose(m: A1Module) -> A0Decomposition:
             pairs.append((k, b, m.sq1.apply(k, b)))
     dims = margolis_homology(m, "Q0").dims
     return A0Decomposition(pairs, [(k, r) for k, d in dims.items() if d
-                                   for r in _representatives(m, "Q0", k)])
+                                   for r in representatives(m, "Q0", k)])
+
+
+def representatives(m: A1Module, op: str, k: int) -> List[int]:
+    """A basis of ker op_k modulo im op_(k-shift): cycle representatives of
+    H(M; op)_k."""
+    shift = _SHIFT[op]
+
+    def matrix(j: int) -> BitMatrix:
+        rows = _op_rows(m, op, j) or (0,) * m.dim(j + shift)
+        return BitMatrix(m.dim(j + shift), m.dim(j), tuple(rows))
+
+    return complement(image(matrix(k - shift)), kernel(matrix(k)))
+
+
+def d2_by_dualizing(m: A1Module) -> D2Data:
+    """The closed-form differential read off the dual module itself: build
+    ``dualize(m)``, take its Q0-homology representatives and apply
+    Sq2Sq1Sq2 to each with ``apply_word``, expressing the image in the
+    target's representatives modulo boundaries."""
+    dual = dualize(m)
+    dims = margolis_homology(dual, "Q0").dims
+    pairs: List[Tuple[str, str]] = []
+    for delta, d in dims.items():
+        tgt = delta + 5
+        if not d or not dims.get(tgt):
+            continue
+        tgt_reps = representatives(dual, "Q0", tgt)
+        bounds = image(dual.sq1.mat(tgt - 1))
+        mat = BitMatrix.from_columns(dual.dim(tgt),
+                                     tgt_reps + list(bounds.basis))
+        for c, rep in enumerate(representatives(dual, "Q0", delta)):
+            _, img = apply_word(dual, "Sq2Sq1Sq2", delta, rep)
+            x = solve(mat, img)
+            assert x is not None, "differential image is not a cycle"
+            pairs += [(f"d{-delta}.{c}*", f"d{-tgt}.{r}*")
+                      for r in range(len(tgt_reps)) if x >> r & 1]
+    return D2Data([(k, f"d{-k}.{i}*") for k, d in dims.items()
+                   for i in range(d)], sorted(pairs))
 
 
 def stably_equivalent(a: A1Module, b: A1Module) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import a1core, davismahowald, f2linalg, structure
+from a1mod import a1core, cli, davismahowald, f2linalg, modfile, structure
 from a1mod.a1core import direct_sum, f2, suspend, tensor, validate
 from a1mod.davismahowald import (build_N, build_dm_complex,
                                  check_dm_exactness, d2, e1_page, e3_page,
@@ -17,7 +17,7 @@ from a1mod.f2linalg import BitMatrix, Subspace
 from a1mod.margolis import margolis_homology
 import dm_complex
 from random_modules import random_module
-from routes import assert_tensor_functional_symmetry
+from routes import assert_tensor_functional_symmetry, d2_by_dualizing
 from solver_reference import _word_matrix, linear_map_reference, sq4_reference
 
 
@@ -158,6 +158,62 @@ def test_pages_and_the_criterion_form_no_basis(monkeypatch):
         e3_page(m)
         sq4_solver(m)
     assert not sq4_solver(cut)
+
+
+def test_the_dual_side_is_read_by_transposition(monkeypatch, tmp_path, capsys):
+    # d2, e1_page, e3_page and the command line's margolis --dual and dm-d2
+    # build no dual module, on inputs with and without a nonzero d2
+    def refuse(*args):
+        raise AssertionError("a dual module was built")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("a1mod.") \
+                and hasattr(mod, "dualize"):
+            monkeypatch.setattr(mod, "dualize", refuse)
+    cut = a1core.truncate(direct_sum(f2(-4), structure.seagull(1, -2)), 3)
+    mods = (structure.seagull(1), structure.seagull(3), cut,
+            tensor(structure.seagull(2), structure.seagull(2)))
+    for m in mods:
+        e1_page(m, 4)
+        e3_page(m)
+        path = tmp_path / "m.mod"
+        path.write_text(modfile.serialize(m))
+        for argv in (["margolis", str(path), "--operator", "q0", "--dual"],
+                     ["margolis", str(path), "--operator", "q1", "--dual"],
+                     ["dm-d2", str(path)]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+    assert d2(mods[0]).pairs == [("d5.0*", "d0.0*")]
+
+
+def test_lift_check_names_the_differential_only_when_it_is_nonzero(
+        monkeypatch):
+    # the differential is tested by ranks; d2 runs only to name a pair
+    def no_d2(m):
+        raise AssertionError("d2 ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(davismahowald, "d2", no_d2)
+        assert lift_check(structure.seagull_inf(24)).outcome == "lifts"
+        assert lift_check(structure.seagull(2)).outcome == "no_lift"
+        assert lift_check(f2()).outcome == "inconclusive"
+        with pytest.raises(AssertionError, match="d2 ran"):
+            lift_check(structure.seagull(1))
+    verdict = lift_check(structure.seagull(1))
+    assert verdict.outcome == "no_lift"
+    assert verdict.evidence == ["nonzero differential: d5.0* -> d0.0*"]
+
+
+def test_d2_matches_the_dual_module_route():
+    # the transposed route against the dual module's own representatives,
+    # on random-basis draws truncated above and below
+    rng = random.Random(4)
+    draws = [random_module(rng) for _ in range(200)]
+    for m in draws:
+        assert d2(m) == d2_by_dualizing(m)
+    assert any(m.truncated_above is not None for m in draws)
+    assert any(m.truncated_below is not None for m in draws)
+    assert sum(not d2(m).is_zero() for m in draws) > 5
 
 
 def _d2_matrices(data):
