@@ -247,8 +247,9 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
 
     ``cells`` lists (label, degree) pairs; within a degree the basis follows
     their order.  An edge (source, target) adds the target cell to the image
-    of the source cell, so a repeated edge cancels.  Keyword arguments go to
-    ``module``.
+    of the source cell, so a repeated edge cancels: it flips one bit of the
+    target's row, and each matrix is built row by row, zero when no edge
+    leaves its degree.  Keyword arguments go to ``module``.
     """
     labels: Dict[int, List[str]] = {}
     pos: Dict[str, Tuple[int, int]] = {}
@@ -258,16 +259,17 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
         row.append(label)
 
     def mats(edges: Iterable[Tuple[str, str]], step: int) -> Dict[int, BitMatrix]:
-        cols = {d: [0] * len(row) for d, row in labels.items()}
+        rows = {d: [0] * len(labels[d + step]) for d in labels
+                if d + step in labels}
         for src, tgt in edges:
             sd, si = pos[src]
             td, ti = pos[tgt]
             if td != sd + step:
                 raise ShapeMismatch(f"edge {src} -> {tgt} must raise the degree "
                                     f"by {step}")
-            cols[sd][si] ^= 1 << ti
-        return {d: BitMatrix.from_columns(len(labels[d + step]), c)
-                for d, c in cols.items() if d + step in labels}
+            rows[sd][ti] ^= 1 << si
+        return {d: BitMatrix(len(r), len(labels[d]), tuple(r))
+                for d, r in rows.items()}
 
     return module(labels, mats(sq1_edges, 1), mats(sq2_edges, 2), **module_kwargs)
 

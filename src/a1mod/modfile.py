@@ -11,7 +11,9 @@
 A repeated target in one sum cancels.  ``truncated_above`` and
 ``truncated_below``, at most one line each, mark degrees beyond which the
 presentation is incomplete (a dual of a truncated module has a lower bound),
-which narrows the reliable windows of everything computed from it.
+which narrows the reliable windows of everything computed from it.  The
+reader hands cells and edges to ``a1core.module_from_edges``; the writer
+reads each matrix by its set bits and writes '_' for '#' in the name.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .a1core import A1Module, module_from_edges
 from .errors import ParseError, RelationViolation
 
 __all__ = ["parse_module", "serialize"]
+
+_STEPS = {"sq1": 1, "sq2": 2}                   # action keyword -> degree step
 
 
 def parse_module(text: str) -> A1Module:
@@ -34,10 +38,10 @@ def parse_module(text: str) -> A1Module:
     bounds: Dict[str, int] = {}
     action_lines: List[Tuple[int, int]] = []     # (source degree, line)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kw = parts[0]
         if kw == "module":
             if name is not None:
@@ -48,6 +52,7 @@ def parse_module(text: str) -> A1Module:
             continue
         if name is None:
             raise ParseError(line_no, "missing 'module <name>' header")
+        step = _STEPS.get(kw)
         if kw == "gen":
             if len(parts) != 3:
                 raise ParseError(line_no, "expected: gen <label> <degree>")
@@ -59,29 +64,31 @@ def parse_module(text: str) -> A1Module:
             if label in degree:
                 raise ParseError(line_no, f"duplicate generator {label!r}")
             degree[label] = deg
-        elif kw in ("sq1", "sq2"):
-            rest = line[len(kw):].strip()
-            if "=" not in rest:
+        elif step is not None:
+            # only whitespace precedes the keyword, so partition splits at it
+            lhs, eq, rhs = line.partition(kw)[2].partition("=")
+            if not eq:
                 raise ParseError(line_no, f"expected: {kw} <label> = <sum>")
-            lhs, rhs = (s.strip() for s in rest.split("=", 1))
-            if lhs not in degree:
+            lhs, rhs = lhs.strip(), rhs.strip()
+            src = degree.get(lhs)
+            if src is None:
                 raise ParseError(line_no, f"unknown label {lhs!r}")
             if (kw, lhs) in declared:
                 raise ParseError(line_no, f"duplicate {kw} declaration for {lhs!r}")
             declared.add((kw, lhs))
-            step = 1 if kw == "sq1" else 2
             if rhs != "0":
-                for t in (s.strip() for s in rhs.split("+")):
-                    if t not in degree:
+                for t in rhs.split("+"):
+                    t = t.strip()
+                    d = degree.get(t)
+                    if d is None:
                         raise ParseError(line_no, f"unknown label {t!r}")
-                    if degree[t] != degree[lhs] + step:
+                    if d != src + step:
                         raise ParseError(
                             line_no,
-                            f"degree mismatch: {kw} maps degree {degree[lhs]} "
-                            f"to {degree[lhs] + step}, but {t!r} has degree "
-                            f"{degree[t]}")
+                            f"degree mismatch: {kw} maps degree {src} "
+                            f"to {src + step}, but {t!r} has degree {d}")
                     edges[kw].append((lhs, t))
-            action_lines.append((degree[lhs], line_no))
+            action_lines.append((src, line_no))
         elif kw in ("truncated_above", "truncated_below"):
             if len(parts) != 2:
                 raise ParseError(line_no, f"expected: {kw} <degree>")
@@ -130,22 +137,25 @@ def _safe_labels(m: A1Module) -> Dict[int, List[str]]:
 
 def serialize(m: A1Module, name: Optional[str] = None) -> str:
     """Emit a module file; parse_module(serialize(m)) reproduces the
-    presentation."""
+    presentation, named without whitespace and with '_' for '#'.  Each set
+    bit of a stored matrix adds its row's label to its column's sum."""
     labels = _safe_labels(m)
-    lines = [f"module {''.join((name or m.name or 'M').split())}"]
+    name = "".join((name or m.name or "M").split()).replace("#", "_")
+    lines = [f"module {name}"]
     for k in m.space.degrees:
         for lbl in labels[k]:
             lines.append(f"gen {lbl} {k}")
-    for kw, gmap, step in (("sq1", m.sq1, 1), ("sq2", m.sq2, 2)):
-        for k in m.space.degrees:
-            mat = gmap.mat(k)
-            if mat.is_zero():
-                continue
-            for c in range(mat.cols):
-                targets = [labels[k + step][r] for r in range(mat.rows)
-                           if mat.get(r, c)]
-                if targets:
-                    lines.append(f"{kw} {labels[k][c]} = {' + '.join(targets)}")
+    for kw, gmap in (("sq1", m.sq1), ("sq2", m.sq2)):
+        for k in sorted(gmap.mats):
+            sums: Dict[int, List[str]] = {}
+            targets = labels.get(k + gmap.shift, ())
+            for lbl, row in zip(targets, gmap.mats[k].data):
+                while row:
+                    low = row & -row
+                    sums.setdefault(low.bit_length() - 1, []).append(lbl)
+                    row ^= low
+            for c in sorted(sums):
+                lines.append(f"{kw} {labels[k][c]} = {' + '.join(sums[c])}")
     for kw in ("truncated_above", "truncated_below"):
         if getattr(m, kw) is not None:
             lines.append(f"{kw} {getattr(m, kw)}")

@@ -16,20 +16,24 @@ question, where ``structure.classify`` and ``structure.strip_free`` share one
 elimination per degree.  ``_word_matrix`` is a verbatim copy of the word
 matrix that ``a1core`` built factor by factor with ``BitMatrix.mul`` before
 ``a1core._word_rows`` replaced it; the references use it, and the tests
-use it as a route to word matrices apart from ``_word_rows``.  The tests
-compare each pair on the same inputs.
+use it as a route to word matrices apart from ``_word_rows``.
+``parse_module_reference`` and ``serialize_reference`` are verbatim copies
+of the ``.mod`` reader and writer from before they worked once per line
+and once per set bit.  The tests compare each pair on the same inputs.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from a1mod.a1core import (DUAL_WORD, PRODUCT, TOP_WORD, WORD_DEGREE, WORDS,
                           A1Module, GradedMap, GradedSpace, _bound, _extent,
                           _require_bottom, _shifted, apply_word, module,
-                          zero_module)
-from a1mod.errors import NotQ0Local, ShapeMismatch, TruncationTooTight
+                          module_from_edges, zero_module)
+from a1mod.errors import (NotQ0Local, ParseError, RelationViolation,
+                          ShapeMismatch, TruncationTooTight)
 from a1mod.f2linalg import (BitMatrix, Subspace, complement, insert, kernel,
                             mul_rows, solve)
 from a1mod.margolis import margolis_homology
+from a1mod.modfile import _safe_labels
 from a1mod.resolution import _ALGEBRAS, ResolutionStage
 from a1mod.structure import (BOUNDARY, DecompositionReport, FlockDescriptor,
                              SeagullEntry)
@@ -650,3 +654,109 @@ def _adjust_and_match(red, a_vecs, step1, wing, seagulls, k, b):
     hit = [cand[c] for c in range(len(cand)) if (y >> c) & 1]
     return True, b_hat, hit
 
+
+def parse_module_reference(text: str) -> A1Module:
+    """A verbatim copy of ``modfile.parse_module`` as it was when it
+    stripped, split and re-stripped each line and looked each label up
+    twice; the tests compare the two on serialized and mutated files."""
+    name: Optional[str] = None
+    degree: Dict[str, int] = {}                  # label -> degree, in order
+    edges: Dict[str, List[Tuple[str, str]]] = {"sq1": [], "sq2": []}
+    declared: Set[Tuple[str, str]] = set()       # (keyword, source label)
+    bounds: Dict[str, int] = {}
+    action_lines: List[Tuple[int, int]] = []     # (source degree, line)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kw = parts[0]
+        if kw == "module":
+            if name is not None:
+                raise ParseError(line_no, "duplicate module header")
+            if len(parts) != 2:
+                raise ParseError(line_no, "expected: module <name>")
+            name = parts[1]
+            continue
+        if name is None:
+            raise ParseError(line_no, "missing 'module <name>' header")
+        if kw == "gen":
+            if len(parts) != 3:
+                raise ParseError(line_no, "expected: gen <label> <degree>")
+            label = parts[1]
+            try:
+                deg = int(parts[2])
+            except ValueError:
+                raise ParseError(line_no, f"bad degree {parts[2]!r}")
+            if label in degree:
+                raise ParseError(line_no, f"duplicate generator {label!r}")
+            degree[label] = deg
+        elif kw in ("sq1", "sq2"):
+            rest = line[len(kw):].strip()
+            if "=" not in rest:
+                raise ParseError(line_no, f"expected: {kw} <label> = <sum>")
+            lhs, rhs = (s.strip() for s in rest.split("=", 1))
+            if lhs not in degree:
+                raise ParseError(line_no, f"unknown label {lhs!r}")
+            if (kw, lhs) in declared:
+                raise ParseError(line_no, f"duplicate {kw} declaration for {lhs!r}")
+            declared.add((kw, lhs))
+            step = 1 if kw == "sq1" else 2
+            if rhs != "0":
+                for t in (s.strip() for s in rhs.split("+")):
+                    if t not in degree:
+                        raise ParseError(line_no, f"unknown label {t!r}")
+                    if degree[t] != degree[lhs] + step:
+                        raise ParseError(
+                            line_no,
+                            f"degree mismatch: {kw} maps degree {degree[lhs]} "
+                            f"to {degree[lhs] + step}, but {t!r} has degree "
+                            f"{degree[t]}")
+                    edges[kw].append((lhs, t))
+            action_lines.append((degree[lhs], line_no))
+        elif kw in ("truncated_above", "truncated_below"):
+            if len(parts) != 2:
+                raise ParseError(line_no, f"expected: {kw} <degree>")
+            if kw in bounds:
+                raise ParseError(line_no, f"duplicate {kw} line")
+            try:
+                bounds[kw] = int(parts[1])
+            except ValueError:
+                raise ParseError(line_no, f"bad degree {parts[1]!r}")
+        else:
+            raise ParseError(line_no, f"unknown keyword {kw!r}")
+    if name is None:
+        raise ParseError(1, "missing 'module <name>' header")
+    try:
+        return module_from_edges(degree.items(), edges["sq1"], edges["sq2"],
+                                 name=name, **bounds)
+    except RelationViolation as e:
+        lines = sorted(ln for deg, ln in action_lines
+                       if deg in range(e.degree, e.degree + 5))
+        raise ParseError(lines[0] if lines else 1,
+                         f"{e} (from the action declarations on lines {lines})")
+
+
+def serialize_reference(m: A1Module, name: Optional[str] = None) -> str:
+    """A verbatim copy of ``modfile.serialize`` as it was when it read
+    every entry of every matrix with ``BitMatrix.get``; it writes a name
+    holding '#' unchanged, which the parser reads as a comment."""
+    labels = _safe_labels(m)
+    lines = [f"module {''.join((name or m.name or 'M').split())}"]
+    for k in m.space.degrees:
+        for lbl in labels[k]:
+            lines.append(f"gen {lbl} {k}")
+    for kw, gmap, step in (("sq1", m.sq1, 1), ("sq2", m.sq2, 2)):
+        for k in m.space.degrees:
+            mat = gmap.mat(k)
+            if mat.is_zero():
+                continue
+            for c in range(mat.cols):
+                targets = [labels[k + step][r] for r in range(mat.rows)
+                           if mat.get(r, c)]
+                if targets:
+                    lines.append(f"{kw} {labels[k][c]} = {' + '.join(targets)}")
+    for kw in ("truncated_above", "truncated_below"):
+        if getattr(m, kw) is not None:
+            lines.append(f"{kw} {getattr(m, kw)}")
+    return "\n".join(lines) + "\n"

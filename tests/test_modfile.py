@@ -1,12 +1,16 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from a1mod import a1core, structure
 from a1mod.errors import ParseError, TruncationTooTight
+from a1mod.f2linalg import BitMatrix
 from a1mod.margolis import margolis_homology
 from a1mod.modfile import parse_module, serialize
-from random_modules import opposite_truncations
+from random_modules import opposite_truncations, random_module, random_part
+from solver_reference import parse_module_reference, serialize_reference
 
 EXAMPLE = """\
 # smallest seagull
@@ -41,10 +45,14 @@ def test_serialize_parse_identity():
               a1core.dualize(structure.seagull(1)),
               structure.seagull_inf(14), SPLIT_LABELS,
               # the label made unique for the second "a" is taken
-              a1core.module({0: ["a.1", "a", "a"]}, {}, {})):
+              a1core.module({0: ["a.1", "a", "a"]}, {}, {}),
+              # '#' in a name would start a comment: it is written as '_'
+              a1core.module({0: ["x"]}, {}, {}, name="a#b"),
+              a1core.module({0: ["x"]}, {}, {}, name="#")):
         text = serialize(m)
         m2 = parse_module(text)
         assert serialize(m2) == text
+        assert m2.name == (m.name or "M").replace("#", "_")
         for k in m.space.degrees:
             assert m2.space.dim(k) == m.space.dim(k)
             assert m2.sq1.mat(k).data == m.sq1.mat(k).data
@@ -209,3 +217,108 @@ def test_parser_raises_only_parse_error_on_text(text):
 @settings(max_examples=60, deadline=None)
 def test_parser_raises_only_parse_error_on_mutations(text, edits):
     _parse_or_parse_error(_mutate(text, edits))
+
+
+def _draw(seed, kind):
+    """A module to write: a random draw, truncated above and below and in a
+    twisted basis, the zero module, or the dual of a truncated tensor."""
+    rng = random.Random(seed)
+    if kind == "zero":
+        return a1core.zero_module()
+    if kind != "dual":
+        return random_module(rng, truncated=kind == "truncated")
+    a, b = random_part(rng), random_part(rng)
+    while opposite_truncations(a, b):
+        b = random_part(rng)
+    m = a1core.tensor(a, b)
+    if m.hi is not None:
+        m = a1core.truncate(m, m.hi - rng.randint(0, 6))
+    return a1core.dualize(m)
+
+
+def _respell(text, seed):
+    """The same file written differently: comments, tabs, blank lines and
+    sums without spaces."""
+    rng = random.Random(seed)
+    out = []
+    for line in text.splitlines():
+        if rng.random() < 0.3:
+            line = line.replace(" = ", "=").replace(" + ", "+")
+        if rng.random() < 0.3:
+            line = "\t" + line.replace(" ", "\t ", 1)
+        if rng.random() < 0.3:
+            line += rng.choice(["  # note", "#", "\t#x = y + z"])
+        out.append(line)
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# comment", "\t"]))
+    return "\n".join(out) + rng.choice(["", "\n", "\n\n"])
+
+
+def _regrade(text, seed):
+    """The file with one generator moved up a degree: its actions then
+    break their degrees or the relations."""
+    lines = text.splitlines()
+    gens = [i for i, line in enumerate(lines) if line.startswith("gen ")]
+    if gens:
+        i = random.Random(seed).choice(gens)
+        kw, label, deg = lines[i].split()
+        lines[i] = f"{kw} {label} {int(deg) + 1}"
+    return "\n".join(lines)
+
+
+def _presentation(parse, text):
+    """Labels, matrices in their stored order, bounds and name, or the
+    error."""
+    try:
+        m = parse(text)
+    except ParseError as e:
+        return ("ParseError", e.line_no, str(e))
+    return (m.space.labels, list(m.sq1.mats.items()), list(m.sq2.mats.items()),
+            m.truncated_above, m.truncated_below, m.name)
+
+
+DRAWS = st.tuples(st.integers(0, 10**6),
+                  st.sampled_from(["random", "truncated", "zero", "dual"]))
+
+
+# explaining a failure re-runs the draws for minutes; shrinking takes seconds
+@given(DRAWS, st.integers(0, 10**6), st.one_of(st.none(), EDITS))
+@settings(max_examples=80, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+def test_reader_and_writer_match_the_reference_routes(draw, seed, edits):
+    m = _draw(*draw)
+    text = serialize(m)
+    assert text == serialize_reference(m)
+    m2 = parse_module(text)
+    assert serialize(m2) == text
+    for k in m.space.degrees:
+        assert (m2.sq1.mat(k), m2.sq2.mat(k)) == (m.sq1.mat(k), m.sq2.mat(k))
+    for variant in (text, _respell(text, seed), _regrade(text, seed)):
+        if edits is not None:
+            variant = _mutate(variant, edits)
+        assert _presentation(parse_module, variant) == \
+            _presentation(parse_module_reference, variant)
+
+
+def test_reading_and_writing_do_no_per_entry_work(monkeypatch):
+    # a tensor of two draws, 256 dimensions over 11 degrees
+    rng = random.Random(2)
+    m = a1core.tensor(random_module(rng), random_module(rng))
+    expected = serialize_reference(m)
+
+    def refuse(*args):
+        raise AssertionError("per-entry work")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BitMatrix, "get", refuse)
+        text = serialize(m)
+    assert text == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(BitMatrix, "from_columns", staticmethod(refuse))
+        m2 = parse_module(text)
+        gull = a1core.module_from_edges(
+            [("a", 0), ("b", 2), ("c", 3), ("d", 5)],
+            [("b", "c")], [("a", "b"), ("c", "d")])
+    assert serialize(m2) == text
+    assert gull.sq1.mats == {2: BitMatrix.identity(1)}
+    assert gull.sq2.mats == {0: BitMatrix.identity(1), 3: BitMatrix.identity(1)}
