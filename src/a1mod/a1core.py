@@ -102,35 +102,27 @@ DUAL_WORD: Dict[str, str] = _dual_words()
 
 
 class GradedSpace:
-    """A degreewise finite-dimensional GF(2) space with basis labels."""
+    """A degreewise finite-dimensional GF(2) space with basis labels.  The
+    labels are tuples and never change, so the dimensions, the sorted
+    degrees (a tuple) and the lowest and highest degree (None when there is
+    none) are stored once."""
 
     def __init__(self, labels: Dict[int, List[str]]):
         self.labels: Dict[int, Tuple[str, ...]] = {
-            k: tuple(v) for k, v in labels.items() if v
-        }
+            k: tuple(v) for k, v in labels.items() if v}
+        self._dims = {k: len(v) for k, v in self.labels.items()}
+        self.degrees: Tuple[int, ...] = tuple(sorted(self.labels))
+        self.lo: Optional[int] = self.degrees[0] if self.degrees else None
+        self.hi: Optional[int] = self.degrees[-1] if self.degrees else None
 
     def dim(self, k: int) -> int:
-        return len(self.labels.get(k, ()))
-
-    @property
-    def degrees(self) -> List[int]:
-        return sorted(self.labels)
-
-    @property
-    def lo(self) -> Optional[int]:
-        ds = self.degrees
-        return ds[0] if ds else None
-
-    @property
-    def hi(self) -> Optional[int]:
-        ds = self.degrees
-        return ds[-1] if ds else None
+        return self._dims.get(k, 0)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self.labels.values())
+        return sum(self._dims.values())
 
     def dims(self) -> Dict[int, int]:
-        return {k: len(v) for k, v in sorted(self.labels.items())}
+        return {k: self._dims[k] for k in self.degrees}
 
     def __eq__(self, other):
         return isinstance(other, GradedSpace) and self.labels == other.labels
@@ -153,8 +145,9 @@ class GradedMap:
         self.target = target
         self.shift = shift
         self.mats: Dict[int, BitMatrix] = {}
+        rows, cols = target._dims.get, source._dims.get
         for k, m in mats.items():
-            if m.rows != target.dim(k + shift) or m.cols != source.dim(k):
+            if m.rows != rows(k + shift, 0) or m.cols != cols(k, 0):
                 raise ShapeMismatch(
                     f"map at degree {k}: got {m.rows}x{m.cols}, expected "
                     f"{target.dim(k + shift)}x{source.dim(k)}")
@@ -228,11 +221,12 @@ def module(labels: Dict[int, List[str]],
            truncated_below: Optional[int] = None,
            name: str = "") -> A1Module:
     space = GradedSpace(labels)
+    dims = space._dims
     m = A1Module(space,
                  GradedMap(space, space, 1, {k: v for k, v in sq1.items()
-                                             if space.dim(k) and space.dim(k + 1)}),
+                                             if k in dims and k + 1 in dims}),
                  GradedMap(space, space, 2, {k: v for k, v in sq2.items()
-                                             if space.dim(k) and space.dim(k + 2)}),
+                                             if k in dims and k + 2 in dims}),
                  truncated_above=truncated_above,
                  truncated_below=truncated_below, name=name)
     validate(m)
@@ -245,15 +239,19 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
                       **module_kwargs) -> A1Module:
     """The module on labelled basis cells with the action given by edges.
 
-    ``cells`` lists (label, degree) pairs; within a degree the basis follows
-    their order.  An edge (source, target) adds the target cell to the image
-    of the source cell, so a repeated edge cancels: it flips one bit of the
-    target's row, and each matrix is built row by row, zero when no edge
-    leaves its degree.  Keyword arguments go to ``module``.
+    ``cells`` lists (label, degree) pairs with distinct labels; within a
+    degree the basis follows their order.  An edge (source, target) adds the
+    target cell to the image of the source cell, so a repeated edge cancels:
+    it flips one bit of the target's row, and each matrix is built row by
+    row, zero when no edge leaves its degree.  A repeated label, or an edge
+    naming an unknown cell, raises ``ShapeMismatch``.  Keyword arguments go
+    to ``module``.
     """
     labels: Dict[int, List[str]] = {}
     pos: Dict[str, Tuple[int, int]] = {}
     for label, deg in cells:
+        if label in pos:
+            raise ShapeMismatch(f"cell label {label!r} is repeated")
         row = labels.setdefault(deg, [])
         pos[label] = (deg, len(row))
         row.append(label)
@@ -262,8 +260,11 @@ def module_from_edges(cells: Iterable[Tuple[str, int]],
         rows = {d: [0] * len(labels[d + step]) for d in labels
                 if d + step in labels}
         for src, tgt in edges:
-            sd, si = pos[src]
-            td, ti = pos[tgt]
+            at, to = pos.get(src), pos.get(tgt)
+            if at is None or to is None:
+                raise ShapeMismatch(f"edge {src} -> {tgt} names an unknown "
+                                    f"cell {src if at is None else tgt!r}")
+            (sd, si), (td, ti) = at, to
             if td != sd + step:
                 raise ShapeMismatch(f"edge {src} -> {tgt} must raise the degree "
                                     f"by {step}")
@@ -435,17 +436,6 @@ def _extent(m: A1Module) -> Tuple[Optional[int], Optional[int]]:
     return _shifted(m.truncated_above, 1), _shifted(m.truncated_below, -1)
 
 
-def _spread(v: int, width: int) -> int:
-    """v with bit c moved to bit c * width: times w < 2^width, the bits of
-    w land at c * width + j without carries, a Kronecker product row."""
-    out = 0
-    while v:
-        low = v & -v
-        out |= 1 << (low.bit_length() - 1) * width
-        v ^= low
-    return out
-
-
 def tensor(a: A1Module, b: A1Module) -> A1Module:
     """Tensor product with the diagonal action.
 
@@ -484,44 +474,50 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
             offset.setdefault(k, {})[p] = len(row)
             row.extend(f"{x}(x){y}" for x in a.space.labels[p]
                        for y in b.space.labels[q])
-    space = GradedSpace(labels)
 
     # rows[s][p]: the rows of Sq^s into degree p, Sq^0 being the identity
-    arows, brows = ([{p: [1 << i for i in range(m.dim(p))]
-                      for p in m.space.degrees},
+    arows, brows = ([{p: [1 << i for i in range(n)]
+                      for p, n in m.space.dims().items()},
                      {p + 1: mat.data for p, mat in m.sq1.mats.items()},
                      {p + 2: mat.data for p, mat in m.sq2.mats.items()}]
                     for m in (a, b))
 
     def build(shift: int) -> Dict[int, BitMatrix]:
         # Sq^shift(x (x) y) is the sum over the splittings shift = s + t of
-        # Sq^s x (x) Sq^t y (Sq1 (x) Sq1 being the middle term of Sq2).  A
-        # term sends block p - s of degree k into block p of degree
-        # k + shift as the Kronecker product X (x) Y, whose row (i, j) is
-        # row i of X with bit c spread to c * cols(Y), times row j of Y.
-        splits = [(s, shift - s) for s in range(shift, -1, -1)]
-        mats = {}
-        for k in space.degrees:
-            if k + shift not in offset:
-                continue
-            src = offset[k]
-            out: List[int] = []
-            for p in offset[k + shift]:
-                q = k + shift - p
-                terms = []
-                for s, t in splits:
-                    x, y = arows[s].get(p), brows[t].get(q)
-                    if x is not None and y is not None:
-                        width, off = len(brows[0][q - t]), src[p - s]
-                        terms.append(([_spread(r, width) << off for r in x], y))
-                for i in range(len(arows[0][p])):
-                    block = [0] * len(brows[0][q])
-                    for xs, ys in terms:
-                        if xs[i]:
-                            block = [r ^ xs[i] * y for r, y in zip(block, ys)]
-                    out.extend(block)
-            mats[k] = BitMatrix(len(out), len(labels[k]), tuple(out))
-        return mats
+        # Sq^s x (x) Sq^t y (Sq1 (x) Sq1 being the middle term of Sq2).
+        # Only the terms that act are visited: for each degree p where Sq^s
+        # lands in a and each q where Sq^t lands in b, p + q not past the
+        # cut, the term sends block p - s of degree p + q - shift into block
+        # p of degree p + q as the Kronecker product X (x) Y.  Row i of X,
+        # bit c spread to c * cols(Y) past the source block's offset, times
+        # a nonzero row j of Y is XORed into the preallocated row (i, j).
+        out = {k + shift: [0] * len(labels[k + shift]) for k in labels
+               if k + shift in labels}
+        for s in range(shift + 1):
+            t = shift - s
+            for q, y in brows[t].items():
+                ys = [(j, r) for j, r in enumerate(y) if r]
+                if not ys:
+                    continue
+                nb, width = len(y), len(brows[0][q - t])
+                for p, x in arows[s].items():
+                    rows = out.get(p + q)
+                    if rows is None:  # past the cut
+                        continue
+                    at, off = offset[p + q][p], offset[p + q - shift][p - s]
+                    for r in x:
+                        spread = 0
+                        while r:
+                            low = r & -r
+                            spread |= 1 << (low.bit_length() - 1) * width + off
+                            r ^= low
+                        if spread:
+                            for j, yr in ys:
+                                rows[at + j] ^= spread * yr
+                        at += nb
+        return {k: BitMatrix(len(labels[k + shift]), len(labels[k]),
+                             tuple(out[k + shift]))
+                for k in sorted(labels) if k + shift in out}
 
     name = f"{a.name}(x){b.name}" if a.name and b.name else ""
     return module(labels, build(1), build(2), truncated_above=cut,

@@ -137,10 +137,13 @@ def _safe_labels(m: A1Module) -> Dict[int, List[str]]:
 
 def serialize(m: A1Module, name: Optional[str] = None) -> str:
     """Emit a module file; parse_module(serialize(m)) reproduces the
-    presentation, named without whitespace and with '_' for '#'.  Each set
-    bit of a stored matrix adds its row's label to its column's sum."""
+    presentation, named without whitespace and with '_' for '#'; a name
+    that is blank once stripped falls back to the module's own, then to
+    ``M``.  Each set bit of a stored matrix adds its row's label to its
+    column's sum."""
     labels = _safe_labels(m)
-    name = "".join((name or m.name or "M").split()).replace("#", "_")
+    name = ("".join((name or "").split()) or "".join(m.name.split())
+            or "M").replace("#", "_")
     lines = [f"module {name}"]
     for k in m.space.degrees:
         for lbl in labels[k]:

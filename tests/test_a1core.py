@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1mod import a1core, structure
+from a1mod import a1core, davismahowald, structure
 from a1mod.a1core import (DUAL_WORD, LMUL, PRODUCT, TOP_WORD, WORD_DEGREE,
                           WORDS, apply_word, direct_sum, dualize, f2,
                           free_module, free_module_on,
@@ -63,6 +63,20 @@ def test_module_from_edges_cell_order_and_cancellation():
     assert m.sq2.mat(0).is_zero()
     with pytest.raises(ShapeMismatch):
         module_from_edges([("a", 0), ("b", 2)], [("a", "b")], [])
+
+
+def test_module_from_edges_refuses_unknown_cells():
+    for edges in ([("a", "zz")], [("zz", "a")]):
+        with pytest.raises(ShapeMismatch, match="unknown cell 'zz'"):
+            module_from_edges([("a", 0)], edges, [])
+        with pytest.raises(ShapeMismatch, match="unknown cell 'zz'"):
+            module_from_edges([("a", 0)], [], edges)
+
+
+def test_module_from_edges_refuses_repeated_cells():
+    # else the edge would leave the second "a" alone
+    with pytest.raises(ShapeMismatch, match="label 'a' is repeated"):
+        module_from_edges([("a", 0), ("a", 1), ("b", 2)], [("a", "b")], [])
 
 
 def test_free_module_on_several_generators():
@@ -320,7 +334,15 @@ def test_tensor_truncated_below_kunneth():
 
 def _tensor_factor(rng):
     """A random factor; sometimes the zero module or an empty one that
-    keeps a bound from above or below."""
+    keeps a bound from above or below, and often one of the shapes that
+    ``localize_q0`` and the DM complex pass: a long truncated infinite
+    seagull (one cell per degree), N(sigma), or a sum with F2, whose
+    block-diagonal matrices have zero rows."""
+    roll, shift = rng.random(), rng.randint(-4, 4)
+    if roll < 0.15:
+        return structure.seagull_inf(shift + rng.randint(5, 30), shift)
+    if roll < 0.25:
+        return davismahowald.build_N(rng.randint(0, 9))
     m = random_module(rng) if rng.random() < 0.6 else random_part(rng)
     roll = rng.random()
     if roll < 0.1:
@@ -328,6 +350,9 @@ def _tensor_factor(rng):
     if roll < 0.25 and m.lo is not None:
         empty = truncate(m, m.lo - 1)
         return empty if rng.random() < 0.5 else dualize(empty)
+    if roll < 0.45:
+        pair = (m, f2(shift)) if roll < 0.35 else (f2(shift), m)
+        return direct_sum(*pair)
     return m
 
 

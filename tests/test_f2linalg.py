@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -229,6 +231,41 @@ def test_shape_mismatch():
         Subspace.full(2).add(Subspace.full(3))
     with pytest.raises(ShapeMismatch, match="different ambient"):
         complement(Subspace.full(2), Subspace.full(3))
+
+
+def test_value_semantics():
+    # what the frozen dataclasses gave: equality only within one type, a
+    # hash over the fields, the repr, immutability, copy and pickle
+    m, s = BitMatrix(2, 3, (0b101, 0b010)), Subspace(3, (0b001, 0b110))
+    for value, same, other, text, fields in (
+            (m, BitMatrix(rows=2, cols=3, data=(5, 2)), BitMatrix(2, 3, (5, 3)),
+             "BitMatrix(rows=2, cols=3, data=(5, 2))", ("rows", "cols", "data")),
+            (s, Subspace(ambient_dim=3, basis=(1, 6)), Subspace(3, (1,)),
+             "Subspace(ambient_dim=3, basis=(1, 6))", ("ambient_dim", "basis"))):
+        assert value == same and hash(value) == hash(same)
+        assert value != other
+        assert repr(value) == text
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+    assert m != (2, 3, (5, 2)) and s != (3, (1, 6))
+
+    class Sub(BitMatrix):
+        __slots__ = ()
+    assert Sub(2, 3, (5, 2)) != m and m != Sub(2, 3, (5, 2))
+    with pytest.raises(ShapeMismatch, match="2 rows declared, 3 given"):
+        BitMatrix(2, 3, (1, 2, 4))
+    with pytest.raises(ShapeMismatch, match="bits beyond"):
+        BitMatrix(2, 3, (1, 0b1000))
+    with pytest.raises(ShapeMismatch, match="bits beyond"):
+        BitMatrix(2, 3, (1, -1))
 
 
 def reference_product(a, b):

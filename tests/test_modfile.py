@@ -48,11 +48,17 @@ def test_serialize_parse_identity():
               a1core.module({0: ["a.1", "a", "a"]}, {}, {}),
               # '#' in a name would start a comment: it is written as '_'
               a1core.module({0: ["x"]}, {}, {}, name="a#b"),
-              a1core.module({0: ["x"]}, {}, {}, name="#")):
+              a1core.module({0: ["x"]}, {}, {}, name="#"),
+              # a blank name falls back to "M"
+              a1core.module({0: ["x"]}, {}, {}, name=" "),
+              a1core.module({0: ["x"]}, {}, {}, name="\t")):
+        want = ("".join(m.name.split()) or "M").replace("#", "_")
         text = serialize(m)
+        # a blank name passed in falls back to the module's own
+        assert serialize(m, " ") == serialize(m, "\t") == text
         m2 = parse_module(text)
         assert serialize(m2) == text
-        assert m2.name == (m.name or "M").replace("#", "_")
+        assert m2.name == want
         for k in m.space.degrees:
             assert m2.space.dim(k) == m.space.dim(k)
             assert m2.sq1.mat(k).data == m.sq1.mat(k).data
