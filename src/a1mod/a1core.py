@@ -194,6 +194,12 @@ class A1Module:
     truncated_below: Optional[int] = None
     name: str = ""
 
+    def __post_init__(self):
+        # a matrix out of or into an empty degree is the zero map: left out
+        for g in (self.sq1, self.sq2):
+            for k in [k for k, a in g.mats.items() if not (a.rows and a.cols)]:
+                del g.mats[k]
+
     @property
     def lo(self) -> Optional[int]:
         return self.space.lo
@@ -221,12 +227,8 @@ def module(labels: Dict[int, List[str]],
            truncated_below: Optional[int] = None,
            name: str = "") -> A1Module:
     space = GradedSpace(labels)
-    dims = space._dims
-    m = A1Module(space,
-                 GradedMap(space, space, 1, {k: v for k, v in sq1.items()
-                                             if k in dims and k + 1 in dims}),
-                 GradedMap(space, space, 2, {k: v for k, v in sq2.items()
-                                             if k in dims and k + 2 in dims}),
+    m = A1Module(space, GradedMap(space, space, 1, sq1),
+                 GradedMap(space, space, 2, sq2),
                  truncated_above=truncated_above,
                  truncated_below=truncated_below, name=name)
     validate(m)

@@ -6,16 +6,18 @@ is the localization of an honest bounded-below module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .a1core import (A1Module, GradedMap, _word_rows, apply_word, f2,
+from .a1core import (A1Module, GradedMap, _bound, _word_rows, apply_word, f2,
                      linear_map_from_generators, module_from_edges, tensor)
 from .errors import ShapeMismatch
 from .f2linalg import (BitMatrix, Subspace, complement, kernel, mul_rows, rank,
                        solve)
 from .margolis import MargolisResult, is_q0_local, margolis_homology
-from .structure import default_cutoff, localize_q0, seagull
+from .structure import (SeagullEntry, _bars, _localization_cutoff,
+                        default_cutoff, localize_q0, seagull)
 
 __all__ = [
     "DMComplexStage",
@@ -201,32 +203,16 @@ def _class_label(k: int, i: int) -> str:
     return f"d{-k}.{i}*"
 
 
-def _wing_rank(m: A1Module, k: int) -> int:
-    """The rank of W = Sq2Sq1Sq2 on H(M; Q0) from degree k to k + 5.
-
-    T(z, y) = (Sq1 z, W z + Sq1 y) on M_k + M_(k+4) has a kernel that
-    projects onto the cycles z with W z a boundary, each fibre a coset of
-    the cycles of degree k + 4.  Those z fall short of the cycles of
-    degree k by rank W, so rank W = rank T - rank Sq1_k - rank Sq1_(k+4).
-    """
-    wing = _word_rows(m, "Sq2Sq1Sq2", k)
-    if wing is None:  # W is zero from degree k
-        return 0
-    n, n4 = m.dim(k), m.dim(k + 4)
-    low = _word_rows(m, "Sq1", k) or ()
-    up = _word_rows(m, "Sq1", k + 4) or ()
-    top = [w ^ u << n for w, u in zip(wing, up)] if up else wing
-    return rank([*low, *top], n + n4) - rank(low, n) - rank(up, n4)
-
-
 def _dual_classes(m: A1Module) -> Tuple[MargolisResult, List[Tuple[int, str]],
                                         Dict[int, int]]:
     """H(DM; Q0) by transposition (``MargolisResult.dual``), its class labels
     and the rank of d2 out of each dual degree delta: the transpose of W on
-    H(M; Q0) from -delta - 5 to -delta (``_wing_rank``)."""
+    H(M; Q0) from -delta - 5 to -delta, the pairs of gap 5 born there
+    (``structure._bars``), read when both degrees carry classes."""
     h = margolis_homology(m, "Q0").dual()
-    out = {delta: _wing_rank(m, -delta - 5) if d and h.dims.get(delta + 5)
-           else 0 for delta, d in h.dims.items()}
+    hit = {delta for delta, d in h.dims.items() if d and h.dims.get(delta + 5)}
+    gaps = Counter(b for b, d in _bars(m)[0] if d - b == 5) if hit else {}
+    out = {delta: gaps[-delta - 5] if delta in hit else 0 for delta in h.dims}
     return h, [(k, _class_label(k, i))
                for k, d in h.dims.items() for i in range(d)], out
 
@@ -328,18 +314,23 @@ def lift_check(m: A1Module, cutoff: Optional[int] = None) -> LiftVerdict:
     a nonzero closed-form differential, a finite seagull in the localized
     flock, an all-open flock for a local module, then the degree-4 operator
     obstruction (``sq4_solver``).  The differential is tested by its ranks
-    (``_wing_rank``) and named by ``d2`` only when it is nonzero."""
+    and named by ``d2`` only when it is nonzero.  With c the localization's
+    cutoff, or m's own when lower, a pair (b, b + 4n + 1) of
+    ``structure._bars`` with n > 0 and b + 4n + 1 <= c - 5 is an exact
+    seagull(n) at shift b in the localized flock."""
     evidence: List[str] = []
     if any(_dual_classes(m)[2].values()):
         src, tgt = d2(m).pairs[0]
         evidence.append(f"nonzero differential: {src} -> {tgt}")
         return LiftVerdict("no_lift", evidence)
     evidence.append("closed-form differential vanishes")
-    report = localize_q0(m, cutoff)
-    finite = [e for e in report.descriptor.seagulls if e.exact]
+    # cut is None only for a module without degrees, which has no pairs
+    cut = _bound(_localization_cutoff(m, cutoff), m.truncated_above, min)
+    finite = [(b, (d - b) // 4) for b, d in _bars(m)[0]
+              if d - b > 1 and d <= cut - 5]
     if finite:
         evidence.append(f"localization contains a finite summand: "
-                        f"{finite[0].describe()}")
+                        f"{SeagullEntry(*min(finite), True).describe()}")
         return LiftVerdict("no_lift", evidence)
     evidence.append("no finite seagull in the localized flock")
     if is_q0_local(m):
@@ -364,8 +355,9 @@ def sq4_solver(m: A1Module) -> bool:
     (M, Sq1), and S is a null-homotopy of it.  Over a field one exists
     exactly when W is zero on homology, here Q0-homology (Weibel, An
     Introduction to Homological Algebra, 1994, ch. 1): W must send the
-    cycles of degree k into the boundaries of degree k + 5.
+    cycles of degree k into the boundaries of degree k + 5: no pair of gap
+    5 (``structure._bars``) may die at or below the cutoff.
     """
     cut = m.truncated_above
-    return all(_wing_rank(m, k) == 0 for k in m.space.degrees
-               if cut is None or k + 5 <= cut)
+    return not any(d - b == 5 and (cut is None or d <= cut)
+                   for b, d in _bars(m)[0])

@@ -15,11 +15,13 @@ word of w (``a1core.DUAL_WORD``).  ``strip_free`` picks all free generators
 and all functionals at once and keeps the common kernel of the retractions.
 ``strip_free`` and ``classify`` run one elimination per degree on the row
 tuples of the structure matrices, and ``classify`` tests Q1-homology by
-ranks (``margolis._homology_dims``).
+ranks (``margolis._homology_dims``).  The localized spectral sequence and
+``lift_check`` read the persistence pairs of Sq1 + Sq2Sq1Sq2 (``_bars``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -362,19 +364,53 @@ def classify(m: A1Module) -> DecompositionReport:
     return DecompositionReport(desc, seagulls, residue, log)
 
 
+def _localization_cutoff(m: A1Module, cutoff: Optional[int]) -> Optional[int]:
+    """``cutoff``, else ``default_cutoff``; refused for a module truncated
+    below, or when it leaves no full wing above the bottom degree."""
+    _require_bottom(m, "classification")
+    cutoff = default_cutoff(m) if cutoff is None else cutoff
+    if m.lo is not None and cutoff - m.lo < 5:
+        raise TruncationTooTight("localization cutoff leaves no full wing")
+    return cutoff
+
+
 def localize_q0(m: A1Module, cutoff: Optional[int] = None) -> DecompositionReport:
     """Classify the Q0-localization: tensor with a truncated infinite seagull
     and decompose.  The result carries the effective cutoff."""
-    _require_bottom(m, "classification")
-    if m.lo is None:
-        return classify(m)
-    if cutoff is None:
-        cutoff = default_cutoff(m)
-    inf_cut = cutoff - m.lo
-    if inf_cut < 5:
-        raise TruncationTooTight("localization cutoff leaves no full wing")
-    local = tensor(seagull_inf(inf_cut), m)
-    return classify(local)
+    cutoff = _localization_cutoff(m, cutoff)
+    return classify(m if m.lo is None else tensor(seagull_inf(cutoff - m.lo), m))
+
+
+def _bars(m: A1Module) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """The persistence pairs of D = Sq1 + W, W = Sq2Sq1Sq2, as (birth, death)
+    degrees in ascending death, and the degrees of the unpaired classes.
+
+    D D = 0 and D raises degrees, so (M, D) is filtered by degree
+    (Edelsbrunner, Letscher and Zomorodian, 2002).  In the cohomology form
+    of the reduction (de Silva, Morozov and Vejdemo-Johansson, 2011) one
+    pivot table takes, in ascending degree j, the rows of Sq1 from j - 1
+    beside those of W from j - 5, with cells numbered by descending degree:
+    a row filed under a cell of degree b is the pair (b, j).  Pairs of gap 5
+    count the rank of W on H(M; Q0); a seagull(n) at b gives (b, b + 4n + 1)
+    and pairs of gap 1, a free summand only the latter."""
+    owner: List[int] = []  # the degree of each cell, by descending degree
+    off: Dict[int, int] = {}  # the first cell of each degree
+    for k in reversed(m.space.degrees):
+        off[k] = len(owner)
+        owner += [k] * m.dim(k)
+    full = (1 << len(owner)) - 1
+    pivots: Dict[int, int] = {}
+    pairs: List[Tuple[int, int]] = []
+    for j in m.space.degrees:
+        one = _word_rows(m, "Sq1", j - 1)
+        wing = _word_rows(m, "Sq2Sq1Sq2", j - 5)
+        for i in range(m.dim(j)):
+            row = insert(pivots, (one[i] << off[j - 1] if one else 0)
+                         | (wing[i] << off[j - 5] if wing else 0), full)
+            if row:
+                pairs.append((owner[(row & -row).bit_length() - 1], j))
+    ends = Counter(k for pair in pairs for k in pair)
+    return pairs, [k for k in m.space.degrees for _ in range(m.dim(k) - ends[k])]
 
 
 def default_cutoff(m: A1Module) -> Optional[int]:

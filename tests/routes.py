@@ -1,23 +1,25 @@
 """Routes that only the tests walk: building a module back from a flock
 descriptor (``classify ∘ realize = id``), comparing flocks, splitting a
 module over the subalgebra generated by Sq1, Margolis-homology
-representatives, the first differential read off the dual module, and the
+representatives, the first differential read off the dual module, the
+lifting check by ranks of W and by classifying the localization, and the
 structural lemmas the classification relies on, written once for every test
 that checks them.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from a1mod.a1core import (A1Module, apply_word, direct_sum, dualize,
-                          free_module, tensor, truncate, zero_module)
-from a1mod.davismahowald import D2Data
+from a1mod.a1core import (A1Module, _word_rows, apply_word, direct_sum,
+                          dualize, free_module, tensor, truncate, zero_module)
+from a1mod.davismahowald import D2Data, LiftVerdict, d2
 from a1mod.errors import A1ModError, TruncationTooTight
 from a1mod.f2linalg import (BitMatrix, Subspace, complement, image, kernel,
-                            solve)
-from a1mod.margolis import (_SHIFT, _op_rows, _reliable_window,
+                            rank, solve)
+from a1mod.margolis import (_SHIFT, _op_rows, _reliable_window, is_q0_local,
                             margolis_homology)
-from a1mod.structure import FlockDescriptor, classify, seagull, seagull_inf
+from a1mod.structure import (FlockDescriptor, classify, localize_q0, seagull,
+                             seagull_inf)
 
 
 class IncomparableCutoffs(A1ModError):
@@ -90,6 +92,58 @@ def d2_by_dualizing(m: A1Module) -> D2Data:
                       for r in range(len(tgt_reps)) if x >> r & 1]
     return D2Data([(k, f"d{-k}.{i}*") for k, d in dims.items()
                    for i in range(d)], sorted(pairs))
+
+
+def wing_rank(m: A1Module, k: int) -> int:
+    """The rank of W = Sq2Sq1Sq2 on H(M; Q0) from degree k to k + 5.
+
+    T(z, y) = (Sq1 z, W z + Sq1 y) on M_k + M_(k+4) has a kernel that
+    projects onto the cycles z with W z a boundary, each fibre a coset of
+    the cycles of degree k + 4.  Those z fall short of the cycles of
+    degree k by rank W, so rank W = rank T - rank Sq1_k - rank Sq1_(k+4).
+    """
+    wing = _word_rows(m, "Sq2Sq1Sq2", k)
+    if wing is None:  # W is zero from degree k
+        return 0
+    n, n4 = m.dim(k), m.dim(k + 4)
+    low = _word_rows(m, "Sq1", k) or ()
+    up = _word_rows(m, "Sq1", k + 4) or ()
+    top = [w ^ u << n for w, u in zip(wing, up)] if up else wing
+    return rank([*low, *top], n + n4) - rank(low, n) - rank(up, n4)
+
+
+def lift_check_by_localizing(m: A1Module,
+                             cutoff: Optional[int] = None) -> LiftVerdict:
+    """``davismahowald.lift_check`` with its ranks from ``wing_rank`` and its
+    finite-summand test run on the classified localization
+    (``localize_q0``): the ranks of d2 in the dual degrees that carry
+    classes at both ends, and the degree-4 criterion in every degree whose
+    wing lands at or below the cutoff."""
+    evidence: List[str] = []
+    h = margolis_homology(m, "Q0").dual()
+    if any(d and h.dims.get(delta + 5) and wing_rank(m, -delta - 5)
+           for delta, d in h.dims.items()):
+        src, tgt = d2(m).pairs[0]
+        evidence.append(f"nonzero differential: {src} -> {tgt}")
+        return LiftVerdict("no_lift", evidence)
+    evidence.append("closed-form differential vanishes")
+    report = localize_q0(m, cutoff)
+    finite = [e for e in report.descriptor.seagulls if e.exact]
+    if finite:
+        evidence.append(f"localization contains a finite summand: "
+                        f"{finite[0].describe()}")
+        return LiftVerdict("no_lift", evidence)
+    evidence.append("no finite seagull in the localized flock")
+    if is_q0_local(m):
+        evidence.append("module is Q0-local with an open flock")
+        return LiftVerdict("lifts", evidence)
+    cut = m.truncated_above
+    if not all(wing_rank(m, k) == 0 for k in m.space.degrees
+               if cut is None or k + 5 <= cut):
+        evidence.append("no degree-4 operator satisfies the commutator equation")
+        return LiftVerdict("no_lift", evidence)
+    evidence.append("degree-4 operator exists; no obstruction found")
+    return LiftVerdict("inconclusive", evidence)
 
 
 def stably_equivalent(a: A1Module, b: A1Module) -> bool:

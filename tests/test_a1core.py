@@ -413,3 +413,23 @@ def test_module_refuses_a_misshapen_matrix():
     # Sq1 from degree 0 to degree 1 must be 1x1
     with pytest.raises(ShapeMismatch, match="got 2x1, expected 1x1"):
         module({0: ["a"], 1: ["b"]}, {0: BitMatrix(2, 1, (1, 0))}, {})
+
+
+def test_matrices_at_empty_degrees_are_zero_maps():
+    # a module built without ``module()`` whose maps hold a matrix out of an
+    # empty degree (Sq1 from 5) and one into an empty degree (Sq1 into 5)
+    # reads them as the zero maps that ``module()`` leaves out
+    sp = a1core.GradedSpace({4: ["a"], 6: ["b"]})
+    sq2 = {4: BitMatrix.identity(1)}
+    hand = a1core.A1Module(
+        sp, a1core.GradedMap(sp, sp, 1, {4: BitMatrix(0, 1, ()),
+                                         5: BitMatrix(1, 0, (0,))}),
+        a1core.GradedMap(sp, sp, 2, dict(sq2)))
+    built = module(sp.labels, {}, sq2)
+    assert _presentation(hand) == _presentation(built)
+    other = module({0: ["x"], 1: ["y"]}, {0: BitMatrix.identity(1)}, {})
+    for m in (other, structure.seagull(1), f2(3)):
+        assert _presentation(tensor(hand, m)) == _presentation(tensor(built, m))
+        assert _presentation(tensor(m, hand)) == _presentation(tensor(m, built))
+    assert davismahowald.lift_check(hand) == davismahowald.lift_check(built)
+    assert davismahowald.lift_check(hand, 12) == davismahowald.lift_check(built, 12)

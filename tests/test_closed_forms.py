@@ -15,15 +15,22 @@ is reliable, and for Kunneth also ones truncated above or below.
   j < n, and a free summand, injective over the Frobenius algebra A(1), one
   class at s = 0 in its generator degree.
 - A Q0-local module is its own localization.
+- K, the infinite seagull L without its bottom cell, is the kernel of
+  L -> F2.  L is Q1-acyclic with H(L; Q0) = F2 in degree 0, so the long
+  exact sequences give H(K; Q0) = 0 and H(K; Q1) = F2 in degree 3, Q1's
+  degree; by Kunneth H(M (x) K; Q0) = 0 and H(M (x) K; Q1)_k =
+  H(M; Q1)_(k-3).  This is the step behind reading the flock of M's
+  localization M (x) L off the pairs of Sq1 + Sq2Sq1Sq2 on M itself
+  (``structure._bars``).
 """
 
 import random
 from collections import Counter
 
-from a1mod.a1core import tensor
+from a1mod.a1core import module_from_edges, tensor
 from a1mod.margolis import is_q0_local, margolis_homology
 from a1mod.resolution import ext_dims
-from a1mod.structure import classify, localize_q0, strip_free
+from a1mod.structure import _seagull_cells, classify, localize_q0, strip_free
 from random_modules import (opposite_truncations, random_automorphism,
                             random_module, random_part)
 
@@ -102,3 +109,31 @@ def test_a_q0_local_module_localizes_to_its_own_flock():
     for m in _q0_local_draws(3, 10):
         assert (localize_q0(m).descriptor.seagulls
                 == classify(m).descriptor.seagulls)
+
+
+def _k(cutoff):
+    """The infinite seagull truncated above ``cutoff`` without its bottom
+    cell g0: nothing acts into g0, so the rest is a submodule."""
+    cells, sq1, sq2 = _seagull_cells(cutoff // 4 + 1, 0)
+    kept = {label for label, deg in cells if deg <= cutoff and label != "g0"}
+    return module_from_edges([c for c in cells if c[0] in kept],
+                             [e for e in sq1 if set(e) <= kept],
+                             [e for e in sq2 if set(e) <= kept],
+                             truncated_above=cutoff)
+
+
+def test_the_kernel_of_the_infinite_seagull_shifts_q1_homology_by_three():
+    k = _k(24)
+    assert _dims(k, "Q0") == {} and _dims(k, "Q1") == {3: 1}
+    rng = random.Random(9)
+    compared = 0
+    for _ in range(80):
+        m = random_module(rng, truncated=False)
+        t = tensor(m, k)
+        h0, h1 = margolis_homology(t, "Q0"), margolis_homology(t, "Q1")
+        assert not any(h0.dims.values())
+        q1 = _dims(m, "Q1")
+        for deg, d in h1.dims.items():
+            assert d == q1.get(deg - 3, 0), deg
+            compared += bool(d)
+    assert compared > 20

@@ -391,15 +391,15 @@ def test_sq4_solution_satisfies_relation():
 
 def test_sq4_solver_visits_only_the_degrees_it_reads(monkeypatch):
     # two seagull(2) pieces far apart, where W is nonzero and the operator
-    # exists: the work depends on the degrees that hold cells, not on the
-    # gap between them
-    calls, rank = [], davismahowald.rank
+    # exists: the reduction's work, a Sq1 and a W row table per degree,
+    # depends on the degrees that hold cells, not on the gap between them
+    calls, word_rows = [], structure._word_rows
 
-    def counting(rows, width):
-        calls.append(width)
-        return rank(rows, width)
+    def counting(m, word, k):
+        calls.append(k)
+        return word_rows(m, word, k)
 
-    monkeypatch.setattr(davismahowald, "rank", counting)
+    monkeypatch.setattr(structure, "_word_rows", counting)
     counts = []
     for gap in (2000, 20000):
         m = direct_sum(structure.seagull(2),
