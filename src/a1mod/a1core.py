@@ -12,10 +12,10 @@ applied to v is Sq1(Sq2(v)).  A word is ``"1"`` or a string of ``Sq1`` and
 ``Sq2``; ``_factors`` parses it, once per word, and refuses anything else.
 It acts on a module along one of two paths: ``apply_word`` on a vector, and
 ``_word_rows`` on a whole degree, as the rows of the word's matrix.  Both
-read a factor whose structure matrix is absent (the degree it leaves or
-the one it reaches is empty, or lies above a truncation cutoff) as zero,
-so the whole word is zero from that degree: ``apply_word`` returns the
-zero vector and ``_word_rows`` returns None.
+read a factor whose structure matrix is absent (``GradedMap`` stores no
+block out of or into an empty degree, and none lies above a truncation
+cutoff) as zero, so the whole word is zero from that degree:
+``apply_word`` returns the zero vector and ``_word_rows`` returns None.
 
 Every presentation built here (free modules, seagulls, the polynomial
 family, ``.mod`` files) is a list of labelled basis cells plus Sq1 and Sq2
@@ -135,8 +135,9 @@ class GradedMap:
     """A degree-``shift`` linear map between graded spaces.
 
     ``mats[k]`` sends degree k of the source to degree k + shift of the
-    target; missing degrees mean the zero map, whose matrix ``mat`` builds
-    once per degree and keeps apart from ``mats``.
+    target.  A block out of or into an empty degree is the zero map: it is
+    checked for shape and left out.  ``mat`` builds the zero matrix of any
+    missing degree once per degree and keeps it apart from ``mats``.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, shift: int,
@@ -151,7 +152,8 @@ class GradedMap:
                 raise ShapeMismatch(
                     f"map at degree {k}: got {m.rows}x{m.cols}, expected "
                     f"{target.dim(k + shift)}x{source.dim(k)}")
-            self.mats[k] = m
+            if m.rows and m.cols:
+                self.mats[k] = m
         self._zeros: Dict[int, BitMatrix] = {}
 
     def mat(self, k: int) -> BitMatrix:
@@ -179,12 +181,13 @@ class GradedMap:
 
 @dataclass
 class A1Module:
-    """A graded module given by explicit Sq1 and Sq2 matrices.
+    """A graded module given by its Sq1 and Sq2 maps, kept as they are given.
 
     ``truncated_above`` records that degrees above the cutoff were discarded;
-    action values landing there are simply absent, and consumers must respect
-    the reduced reliable range.  ``truncated_below`` is the same bound from
-    below (the dual of a module truncated above has one).
+    action values landing there are absent, like any block into an empty
+    degree (``GradedMap``), and consumers must respect the reduced reliable
+    range.  ``truncated_below`` is the same bound from below (the dual of a
+    module truncated above has one).
     """
 
     space: GradedSpace
@@ -193,12 +196,6 @@ class A1Module:
     truncated_above: Optional[int] = None
     truncated_below: Optional[int] = None
     name: str = ""
-
-    def __post_init__(self):
-        # a matrix out of or into an empty degree is the zero map: left out
-        for g in (self.sq1, self.sq2):
-            for k in [k for k, a in g.mats.items() if not (a.rows and a.cols)]:
-                del g.mats[k]
 
     @property
     def lo(self) -> Optional[int]:
@@ -534,13 +531,8 @@ def dualize(m: A1Module) -> A1Module:
     module presentation.
     """
     labels = {-k: [f"{s}*" for s in v] for k, v in m.space.labels.items()}
-    sq1 = {}
-    sq2 = {}
-    for k in sorted(labels):
-        if -k - 1 in m.space.labels:
-            sq1[k] = m.sq1.mat(-k - 1).transpose()
-        if -k - 2 in m.space.labels:
-            sq2[k] = m.sq2.mat(-k - 2).transpose()
+    sq1 = {k: m.sq1.mat(-k - 1).transpose() for k in sorted(labels)}
+    sq2 = {k: m.sq2.mat(-k - 2).transpose() for k in sorted(labels)}
 
     def negated(bound: Optional[int]) -> Optional[int]:
         return None if bound is None else -bound
@@ -583,8 +575,7 @@ def linear_map_from_generators(source: A1Module, target: A1Module,
         if len(graph) < n:
             raise ShapeMismatch(f"the generators do not generate the source in "
                                 f"degree {k}")
-        if n:  # the reduced graph has pivots 0..n-1: row i is e_i | F e_i << n
-            mats[k] = BitMatrix.from_columns(target.dim(k),
-                                             [r >> n for r in graph])
+        # the reduced graph has pivots 0..n-1: row i is e_i | F e_i << n
+        mats[k] = BitMatrix.from_columns(target.dim(k), [r >> n for r in graph])
     return GradedMap(source.space, target.space, 0, mats)
 

@@ -210,6 +210,7 @@ def _dual_classes(m: A1Module) -> Tuple[MargolisResult, List[Tuple[int, str]],
     H(M; Q0) from -delta - 5 to -delta, the pairs of gap 5 born there
     (``structure._bars``), read when both degrees carry classes."""
     h = margolis_homology(m, "Q0").dual()
+    # keep: without it d2 and e3_page run the reduction (9x slower at 576 dims)
     hit = {delta for delta, d in h.dims.items() if d and h.dims.get(delta + 5)}
     gaps = Counter(b for b, d in _bars(m)[0] if d - b == 5) if hit else {}
     out = {delta: gaps[-delta - 5] if delta in hit else 0 for delta in h.dims}

@@ -147,9 +147,7 @@ def _submodule_restriction(m: A1Module, sub: Dict[int, Subspace]) -> A1Module:
             tgt = sub.get(k + step)
             if not s.dim or tgt is None or not tgt.dim:
                 continue
-            mat = gmap.mats.get(k)
-            images = ([0] * m.dim(k + step) if mat is None
-                      else mul_rows(mat.data, cols[k]))
+            images = mul_rows(gmap.mat(k).data, cols[k])
             rows = [images[(b & -b).bit_length() - 1] for b in tgt.basis]
             if mul_rows(cols[k + step], rows) != images:
                 raise ShapeMismatch("subspace not closed under the action")

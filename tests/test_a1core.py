@@ -14,6 +14,7 @@ from a1mod.a1core import (DUAL_WORD, LMUL, PRODUCT, TOP_WORD, WORD_DEGREE,
 from a1mod.errors import RelationViolation, ShapeMismatch, TruncationTooTight
 from a1mod.f2linalg import BitMatrix, rank
 from a1mod.margolis import margolis_homology
+import dm_complex
 from random_modules import opposite_truncations, random_module, random_part
 from solver_reference import linear_map_reference, tensor_reference
 
@@ -249,15 +250,30 @@ def test_tensor_refuses_opposite_truncations():
 
 
 def test_dualize_roundtrip():
-    m = structure.seagull(2)
-    d = dualize(m)
-    validate(d)
-    assert sorted(-k for k in d.space.degrees) == list(m.space.degrees)
-    dd = dualize(d)
-    for k in m.space.degrees:
-        assert dd.space.dim(k) == m.space.dim(k)
-        assert dd.sq1.mat(k).data == m.sq1.mat(k).data
-        assert dd.sq2.mat(k).data == m.sq2.mat(k).data
+    # random draws truncated above and below, and sums with degree gaps:
+    # the dual's block from k is the transpose of m's block into -k, empty
+    # degrees included, and the double dual gives m's maps back
+    rng = random.Random(13)
+    draws = [random_module(rng) for _ in range(100)]
+    draws += [structure.seagull(2), direct_sum(f2(), f2(9)),
+              direct_sum(structure.seagull(1), f2(12)),
+              direct_sum(f2(-3), truncate(structure.seagull_inf(12), 8)),
+              dualize(direct_sum(structure.seagull(2), f2(20)))]
+    assert sum(m.truncated_above is not None for m in draws) > 10
+    assert sum(m.truncated_below is not None for m in draws) > 10
+    for m in draws:
+        d, dd = dualize(m), dualize(dualize(m))
+        validate(d)
+        assert sorted(-k for k in d.space.degrees) == list(m.space.degrees)
+        assert dd.space.dims() == m.space.dims()
+        assert ((dd.truncated_above, dd.truncated_below)
+                == (m.truncated_above, m.truncated_below))
+        lo, hi = m.lo if m.lo is not None else 0, m.hi if m.hi is not None else 0
+        for k in range(lo - 2, hi + 1):
+            assert dd.sq1.mat(k) == m.sq1.mat(k) and dd.sq2.mat(k) == m.sq2.mat(k)
+        for k in d.space.degrees:
+            assert d.sq1.mat(k) == m.sq1.mat(-k - 1).transpose()
+            assert d.sq2.mat(k) == m.sq2.mat(-k - 2).transpose()
 
 
 def test_linear_map_from_generators_identity():
@@ -418,7 +434,7 @@ def test_module_refuses_a_misshapen_matrix():
 def test_matrices_at_empty_degrees_are_zero_maps():
     # a module built without ``module()`` whose maps hold a matrix out of an
     # empty degree (Sq1 from 5) and one into an empty degree (Sq1 into 5)
-    # reads them as the zero maps that ``module()`` leaves out
+    # reads them as the zero maps that ``GradedMap`` leaves out
     sp = a1core.GradedSpace({4: ["a"], 6: ["b"]})
     sq2 = {4: BitMatrix.identity(1)}
     hand = a1core.A1Module(
@@ -433,3 +449,39 @@ def test_matrices_at_empty_degrees_are_zero_maps():
         assert _presentation(tensor(m, hand)) == _presentation(tensor(m, built))
     assert davismahowald.lift_check(hand) == davismahowald.lift_check(built)
     assert davismahowald.lift_check(hand, 12) == davismahowald.lift_check(built, 12)
+
+
+def test_a_graded_map_stores_no_empty_block():
+    # a 0 x 2 block (into an empty degree), a 2 x 0 block (out of one) and a
+    # 0 x 0 block are checked for shape, left out of ``mats`` and read back
+    # by ``mat`` as the zero blocks of the same shapes
+    sp = a1core.GradedSpace({4: ["a", "b"], 6: ["c", "d"]})
+    empty = {4: BitMatrix(0, 2, ()), 5: BitMatrix(2, 0, (0, 0)),
+             8: BitMatrix(0, 0, ())}
+    g = a1core.GradedMap(sp, sp, 1, empty)
+    assert g.mats == {}
+    assert all(g.mat(k) == b for k, b in empty.items())
+    with pytest.raises(ShapeMismatch, match="got 0x1, expected 0x2"):
+        a1core.GradedMap(sp, sp, 1, {4: BitMatrix(0, 1, ())})
+    # a module keeps the maps it is handed, exactly as they are
+    sq1 = a1core.GradedMap(sp, sp, 1, dict(empty))
+    sq2 = a1core.GradedMap(sp, sp, 2, {2: empty[5], 4: BitMatrix.identity(2)})
+    before = dict(sq1.mats), dict(sq2.mats)
+    m = a1core.A1Module(sp, sq1, sq2)
+    assert m.sq1 is sq1 and m.sq2 is sq2
+    assert (sq1.mats, sq2.mats) == before
+    assert list(sq2.mats) == [4]
+
+
+def test_library_maps_hold_no_empty_block():
+    # duals, tensors, sums, truncations, reductions and the DM-complex and
+    # injective maps: every stored block has rows and columns
+    rng = random.Random(17)
+    maps = []
+    for _ in range(40):
+        m = random_module(rng)
+        for x in (m, dualize(m), structure.strip_free(m)[0]):
+            maps += [x.sq1, x.sq2]
+    maps += [st.boundary for st in davismahowald.build_dm_complex(5)]
+    maps += [st.f for st in dm_complex.build_injective(5)]
+    assert all(b.rows and b.cols for g in maps for b in g.mats.values())

@@ -22,12 +22,19 @@ is reliable, and for Kunneth also ones truncated above or below.
   H(M; Q1)_(k-3).  This is the step behind reading the flock of M's
   localization M (x) L off the pairs of Sq1 + Sq2Sq1Sq2 on M itself
   (``structure._bars``).
+- Pic(A(1)), the stably invertible modules (both Margolis homologies one
+  dimensional; Adams and Priddy, "Uniqueness of BSO", 1976), is
+  Z + Z + Z/2, generated by the suspension, I (A(1) without its bottom
+  cell) and the Joker J.  With (a, b) the degrees of the Q0 and Q1 classes,
+  y = (b - a)/2 and x = a - y, and Σ^-x (x) DI^(x)y (x) M (I^(x)-y when
+  y < 0) reduces to F2 (ε = 0) or to Σ^-2 J (ε = 1): M's class is (x, y, ε).
 """
 
 import random
 from collections import Counter
 
-from a1mod.a1core import module_from_edges, tensor
+from a1mod.a1core import (LMUL, WORD_DEGREE, WORDS, dualize, f2,
+                          module_from_edges, suspend, tensor)
 from a1mod.margolis import is_q0_local, margolis_homology
 from a1mod.resolution import ext_dims
 from a1mod.structure import _seagull_cells, classify, localize_q0, strip_free
@@ -137,3 +144,64 @@ def test_the_kernel_of_the_infinite_seagull_shifts_q1_homology_by_three():
             assert d == q1.get(deg - 3, 0), deg
             compared += bool(d)
     assert compared > 20
+
+
+def _joker():
+    """J: one cell in each degree 0..4."""
+    return module_from_edges([(f"x{i}", i) for i in range(5)],
+                             [("x0", "x1"), ("x3", "x4")],
+                             [("x0", "x2"), ("x1", "x3"), ("x2", "x4")],
+                             name="J")
+
+
+def _augmentation_ideal():
+    """I: A(1) without its bottom cell, on the words of positive degree."""
+    edges = [[(w, LMUL[sq][w]) for w in WORDS[1:] if LMUL[sq][w]]
+             for sq in ("Sq1", "Sq2")]
+    return module_from_edges([(w, WORD_DEGREE[w]) for w in WORDS[1:]],
+                             *edges, name="I")
+
+
+def _reduced(m):
+    return strip_free(m)[0]
+
+
+def _picard_class(m, ideal, dual_ideal):
+    """(x, y, ε) of a stably invertible m, and what strip_free leaves of
+    Σ^-x (x) DI^(x)y (x) m (I^(x)-y when y < 0)."""
+    (a, da), = _dims(m, "Q0").items()
+    (b, db), = _dims(m, "Q1").items()
+    assert da == db == 1 and (b - a) % 2 == 0
+    y = (b - a) // 2
+    x = a - y
+    r = _reduced(tensor(f2(-x), m))
+    for _ in range(abs(y)):
+        r = _reduced(tensor(dual_ideal if y > 0 else ideal, r))
+    assert r.space.total_dim() in (1, 5)
+    return (x, y, r.space.total_dim() == 5), r
+
+
+def test_the_picard_class_is_additive_and_negated_by_the_dual():
+    ideal = _augmentation_ideal()
+    dual_ideal = dualize(ideal)
+    joker = suspend(_joker(), -2)
+    letters = [(f2(1), (1, 0, False)), (f2(-1), (-1, 0, False)),
+               (ideal, (0, 1, False)), (dual_ideal, (0, -1, False)),
+               (joker, (0, 0, True))]
+    for m, c in letters:
+        assert _picard_class(m, ideal, dual_ideal)[0] == c
+    leaves = {False: {0: 1}, True: joker.space.dims()}
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(30):
+        m, (x, y, eps) = f2(), (0, 0, False)
+        for _ in range(rng.randint(1, 5)):
+            letter, (lx, ly, le) = rng.choice(letters)
+            m = _reduced(tensor(m, letter))
+            x, y, eps = x + lx, y + ly, eps != le
+        got, rep = _picard_class(m, ideal, dual_ideal)
+        assert got == (x, y, eps)
+        assert rep.space.dims() == leaves[eps]
+        assert _picard_class(dualize(m), ideal, dual_ideal)[0] == (-x, -y, eps)
+        seen.add(eps)
+    assert seen == {False, True}

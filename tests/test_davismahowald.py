@@ -441,6 +441,20 @@ def test_lift_check_runs_the_solver_on_truncated_modules(monkeypatch):
         lift_check(a1core.truncate(f2(), 10))
 
 
+def test_a_gap_five_pair_dying_at_the_cutoff():
+    # the pair (0, 5) of seagull(1) + F2 truncated above 5 dies at the
+    # cutoff: inside the degree-4 criterion's window (death <= 5), outside
+    # d2's (both ends <= 4)
+    m = a1core.truncate(direct_sum(structure.seagull(1), f2()), 5)
+    assert (0, 5) in structure._bars(m)[0]
+    assert d2(m).is_zero()
+    assert not sq4_solver(m)
+    verdict = lift_check(m)
+    assert verdict.outcome == "no_lift"
+    assert verdict.evidence[-1] == ("no degree-4 operator satisfies the "
+                                    "commutator equation")
+
+
 def test_dm_and_injective_maps_match_the_reference_solve(monkeypatch):
     calls = []
 
